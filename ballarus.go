@@ -674,43 +674,6 @@ var (
 // sentinels above), or nil if err is nil or unclassified.
 func ErrorKind(err error) error { return resilience.KindOf(err) }
 
-// ---- Deprecated one-shot wrappers ----
-
-// Compile compiles minic source to MIR with default options.
-//
-// Deprecated: use CompileOpt.
-func Compile(src string) (*Program, error) {
-	return CompileOpt(src)
-}
-
-// CompileWithOptions compiles minic source with explicit options.
-//
-// Deprecated: use CompileOpt with WithCompileOptions.
-func CompileWithOptions(src string, opts CompileOptions) (*Program, error) {
-	return CompileOpt(src, WithCompileOptions(opts))
-}
-
-// Analyze runs the Ball-Larus analysis with paper-faithful options.
-//
-// Deprecated: use AnalyzeCtx.
-func Analyze(prog *Program) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), prog)
-}
-
-// AnalyzeWithOptions runs the analysis with explicit options.
-//
-// Deprecated: use AnalyzeCtx with WithAnalysisOptions.
-func AnalyzeWithOptions(prog *Program, opts AnalysisOptions) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), prog, WithAnalysisOptions(opts))
-}
-
-// Execute runs a program under the interpreter.
-//
-// Deprecated: use ExecuteCtx with WithRunConfig or the granular options.
-func Execute(prog *Program, cfg RunConfig) (*RunResult, error) {
-	return ExecuteCtx(context.Background(), prog, WithRunConfig(cfg))
-}
-
 // Score reports the dynamic miss rate of a prediction vector against a
 // profile, over all branches, in the paper's miss/perfect notation.
 func Score(a *Analysis, preds []Prediction, p *Profile) Rate {

@@ -23,18 +23,19 @@ int main() {
 `
 
 func TestFacadePipeline(t *testing.T) {
-	prog, err := Compile(facadeSrc)
+	ctx := context.Background()
+	prog, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(prog)
+	a, err := AnalyzeCtx(ctx, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Branches) == 0 {
 		t.Fatal("no branches analyzed")
 	}
-	res, err := Execute(prog, RunConfig{CollectEvents: true})
+	res, err := ExecuteCtx(ctx, prog, WithRunConfig(RunConfig{CollectEvents: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +62,18 @@ func TestFacadePipeline(t *testing.T) {
 }
 
 func TestFacadeCompileError(t *testing.T) {
-	if _, err := Compile("int main() { return x; }"); err == nil {
+	if _, err := CompileOpt("int main() { return x; }"); err == nil {
 		t.Error("expected compile error")
 	}
 }
 
 func TestFacadeOptions(t *testing.T) {
-	p1, err := CompileWithOptions(facadeSrc, CompileOptions{SpillLocals: true})
+	ctx := context.Background()
+	p1, err := CompileOpt(facadeSrc, WithCompileOptions(CompileOptions{SpillLocals: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeWithOptions(p1, AnalysisOptions{NoPostdom: true})
+	a, err := AnalyzeCtx(ctx, p1, WithAnalysisOptions(AnalysisOptions{NoPostdom: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +81,15 @@ func TestFacadeOptions(t *testing.T) {
 		t.Fatal("no branches")
 	}
 	// Spilled compilation still computes the same program output.
-	p2, err := Compile(facadeSrc)
+	p2, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Execute(p1, RunConfig{})
+	r1, err := ExecuteCtx(ctx, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Execute(p2, RunConfig{})
+	r2, err := ExecuteCtx(ctx, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestFacadeConstants(t *testing.T) {
 }
 
 func TestFacadeCompare(t *testing.T) {
-	prog, err := Compile(facadeSrc)
+	prog, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // token-bucket retry budget bounds the extra load retries and hedges
 // may add, client deadlines propagate end-to-end via X-Deadline-Ms,
 // and when every replica is down the gateway serves its last-known-
-// good responses marked "degraded":true instead of failing.
+// good responses marked "degraded":true instead of failing. Requests
+// are identified by route plus exact body bytes, so a brownout answer
+// is only ever served for the byte-identical request.
 //
 // Usage:
 //
@@ -19,8 +21,8 @@
 //	       [-trace-slow 250ms]
 //	       [-log-level info] [-log-format text]
 //
-// -routing rendezvous shards requests across replicas by their
-// canonical content key (rendezvous hashing), so each replica's caches
+// -routing rendezvous shards requests across replicas by that same
+// request key (rendezvous hashing), so each replica's caches
 // specialize on a stable slice of the key space; when a replica dies
 // only its ~1/N of keys move, and they move back when it recovers.
 // Per-tenant quota rejections from blserve -tenants (429 with

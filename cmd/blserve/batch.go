@@ -49,9 +49,9 @@ type batchResponse struct {
 // against the tenant's quota as a unit (all N tokens or none — a quota
 // rejection is a single 429 with X-RateLimit-* headers and no work
 // done), then items fan through the same single-flight caches as
-// single requests with per-item error reporting. Batch results bypass
-// the stale-response brownout cache: degradation stays a single-
-// request affordance.
+// single requests with per-item error reporting. A shed predict item
+// is answered from the service caches, marked degraded, exactly as a
+// single request would be.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
@@ -186,6 +186,7 @@ func toPredictResp(res *ballarus.PredictResult, includeOutput bool) predictRespo
 		ProgramCached:   res.ProgramCached,
 		AnalysisCached:  res.AnalysisCached,
 		RunCached:       res.RunCached,
+		Degraded:        res.Degraded,
 		ElapsedMillis:   float64(res.Elapsed) / float64(time.Millisecond),
 		Output:          res.Output,
 	}

@@ -28,10 +28,10 @@ func openAnalyzeBreaker(t *testing.T, ts *httptest.Server) {
 	}
 }
 
-// TestStaleKeyNormalizesEquivalentRequests: the stale cache is keyed by
-// the service's canonical content hash, so a benchmark named in one
-// request and spelled out as explicit source/input/budget in another
-// share one last-known-good entry.
+// TestStaleKeyNormalizesEquivalentRequests: degraded answers come from
+// the service caches, keyed by the canonical content hash, so a
+// benchmark named in one request and spelled out as explicit
+// source/input/budget in another share one cached answer.
 func TestStaleKeyNormalizesEquivalentRequests(t *testing.T) {
 	defer resilience.ClearFaults()
 	ts, _ := newTestServer(t,
@@ -44,7 +44,7 @@ func TestStaleKeyNormalizesEquivalentRequests(t *testing.T) {
 	}
 	openAnalyzeBreaker(t, ts)
 
-	// The explicit spelling of the same job must hit the entry the
+	// The explicit spelling of the same job must hit the entries the
 	// benchmark-name spelling primed.
 	resp, out := postPredict(t, ts, predictRequest{
 		Source: b.Source, Input: b.Data[0].Input, Budget: b.Budget,
@@ -53,7 +53,7 @@ func TestStaleKeyNormalizesEquivalentRequests(t *testing.T) {
 		t.Fatalf("equivalent request status = %d, want degraded 200", resp.StatusCode)
 	}
 	if !out.Degraded {
-		t.Fatal("equivalent request missed the stale entry (key not normalized)")
+		t.Fatal("equivalent request missed the cached answer (key not normalized)")
 	}
 	if out.Steps != first.Steps || out.Heuristic != first.Heuristic {
 		t.Fatalf("degraded response %+v differs from original %+v", out, first)
@@ -79,9 +79,11 @@ func TestTimeoutRetryAfter(t *testing.T) {
 	}
 }
 
-// TestServerDurableRoundTrip: the stale response cache survives a crash
-// via its snapshot section — after recovery a brand-new process serves
-// a degraded answer for a request only the dead process ever computed.
+// TestServerDurableRoundTrip: degraded serving survives a crash — the
+// warm-set replay rewarms the caches degraded answers come from, so a
+// brand-new process serves a degraded answer for a request only the
+// dead process ever computed. A snapshot from a release that still had
+// a "stale" response section boots too, its entries skipped.
 func TestServerDurableRoundTrip(t *testing.T) {
 	defer resilience.ClearFaults()
 	dir := t.TempDir()
@@ -95,6 +97,11 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
 	}
+	svc1.RegisterDurableSection("stale", ballarus.DurableSection{
+		Collect: func() []ballarus.DurableEntry {
+			return []ballarus.DurableEntry{{Key: "old", Payload: []byte(`{"name":"<source>"}`)}}
+		},
+	})
 	if err := svc1.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +113,13 @@ func TestServerDurableRoundTrip(t *testing.T) {
 		ballarus.WithSnapshotInterval(time.Hour),
 		ballarus.WithBreakerPolicy(ballarus.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
 	defer svc2.Close()
-	app := newServer(svc2) // registers the stale section before recovery
+	app := newServer(svc2)
 	rs, err := svc2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Warmed < 1 || rs.SnapshotEntries < 2 {
-		// One request recipe + one stale response entry.
-		t.Fatalf("recovery stats %+v, want a recipe and a stale entry", rs)
+	if rs.Warmed < 1 || rs.SnapshotEntries < 1 || rs.SnapshotSkipped != 1 {
+		t.Fatalf("recovery stats %+v, want a warmed recipe and the stale entry skipped", rs)
 	}
 	ts2 := httptest.NewServer(app.handler(false))
 	defer ts2.Close()
@@ -126,11 +132,11 @@ func TestServerDurableRoundTrip(t *testing.T) {
 			resp.StatusCode, out.RunCached)
 	}
 
-	// Degraded serving works from the restored stale cache alone.
+	// Degraded serving works from the rewarmed caches alone.
 	openAnalyzeBreaker(t, ts2)
 	resp, out = postPredict(t, ts2, predictRequest{Source: testSrc})
 	if resp.StatusCode != http.StatusOK || !out.Degraded {
-		t.Fatalf("restored stale entry not served: status %d, degraded %v",
+		t.Fatalf("rewarmed answer not served degraded: status %d, degraded %v",
 			resp.StatusCode, out.Degraded)
 	}
 	if out.Steps != first.Steps {

@@ -59,7 +59,7 @@
 // and net/http/pprof profiling are exposed too.
 //
 // With -state-dir, the server persists its warm state (request recipes
-// and the last-known-good response cache) as a checksummed snapshot
+// and the trace archive) as a checksummed snapshot
 // plus an append-only journal, recovers it at boot — tolerating
 // per-entry corruption — and replays it to rewarm the caches, so a
 // crashed or killed server restarts warm.
@@ -108,8 +108,7 @@ func main() {
 	addr := flag.String("addr", ":8723", "listen address (:0 picks a free port, printed on stderr)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrently executing requests")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request pipeline timeout")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain window (deprecated alias for -drain-timeout)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "graceful shutdown drain window; wins over -drain when set")
+	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain window")
 	instanceID := flag.String("instance-id", "", "instance identity reported in the X-Instance-Id response header (default host-pid)")
 	queue := flag.Int("queue", 64, "max requests queued for a worker before shedding with 429 (0 = unbounded)")
 	cache := flag.Int("cache", 4096, "max entries per result cache, LRU-evicted (0 = unbounded)")
@@ -150,9 +149,6 @@ func main() {
 	if err != nil {
 		cli.Exit("blserve", err)
 	}
-	if *drainTimeout > 0 {
-		*drain = *drainTimeout
-	}
 	if *instanceID == "" {
 		*instanceID = defaultInstanceID()
 	}
@@ -191,7 +187,7 @@ func main() {
 		SlowThreshold: *traceSlow,
 		SampleRate:    *traceSample,
 	})
-	// Registers the stale cache's and trace archive's durable sections.
+	// Registers the trace archive's durable section.
 	app := newServerWithArchive(svc, archive)
 	app.instanceID = *instanceID
 	if *batchMax > 0 {

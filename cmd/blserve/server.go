@@ -63,9 +63,9 @@ type predictResponse struct {
 	ProgramCached   bool     `json:"program_cached"`
 	AnalysisCached  bool     `json:"analysis_cached"`
 	RunCached       bool     `json:"run_cached"`
-	// Degraded marks a stale result served from the server's last-known-
-	// good cache because the service is currently shedding this request
-	// (open circuit breaker or full queue).
+	// Degraded marks an answer the service rebuilt from its analysis
+	// and run caches because it is shedding this request (open circuit
+	// breaker or full queue).
 	Degraded      bool    `json:"degraded,omitempty"`
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	Output        string  `json:"output,omitempty"`
@@ -125,7 +125,6 @@ type server struct {
 	maxBody int64
 	// batchMax bounds POST /v1/batch item counts.
 	batchMax int
-	stale    *staleCache
 	// archive tail-samples completed request traces (always-keep for
 	// errors/hedges/breakers/slow requests) and rides the durable
 	// snapshot, so the interesting traces survive a crash.
@@ -140,10 +139,6 @@ type server struct {
 	draining atomic.Bool
 }
 
-// staleSection is the snapshot section holding the server's
-// last-known-good response cache.
-const staleSection = "stale"
-
 // traceSection is the snapshot section holding the tail-sampled trace
 // archive.
 const traceSection = "traces"
@@ -156,17 +151,12 @@ func newServer(svc *ballarus.Service) *server {
 
 // newServerWithArchive builds the blserve server over a prediction
 // service, attaches the trace archive to the service tracer, and
-// registers the stale-response cache and the archive as durable
-// snapshot sections (no-ops when the service has no durable store).
+// registers the archive as a durable snapshot section (a no-op when
+// the service has no durable store).
 func newServerWithArchive(svc *ballarus.Service, archive *obs.Archive) *server {
-	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax,
-		stale: newStaleCache(256), archive: archive}
+	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax, archive: archive}
 	svc.Tracer().Attach(archive)
 	archive.Register(svc.Metrics())
-	svc.RegisterDurableSection(staleSection, ballarus.DurableSection{
-		Collect: s.stale.collect,
-		Restore: s.stale.restore,
-	})
 	svc.RegisterDurableSection(traceSection, ballarus.DurableSection{
 		Collect: s.collectTraces,
 		Restore: s.restoreTrace,
@@ -292,53 +282,23 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid_input", err)
 		return
 	}
-	// The stale cache is keyed by the service's canonical content hash,
-	// so equivalent requests share one entry. A request that fails to
-	// resolve has no key (and Predict will report the same failure).
-	key, keyErr := s.svc.RequestKey(preq)
 	res, err := s.svc.Predict(r.Context(), preq)
 	if err != nil {
 		status, code := statusFor(r, err)
-		// A per-tenant quota rejection is deterministic for this tenant:
-		// answer with its backoff headers, and never mask it with a stale
-		// result — the tenant must see that it is over quota.
-		if setQuotaHeaders(w, err) {
-			httpError(w, status, code, err)
-			return
-		}
-		// Graceful degradation: while the service is shedding (open
-		// breaker, full queue), a previously computed result for the
-		// identical request is better than a 429.
-		if status == http.StatusTooManyRequests && keyErr == nil {
-			if cached, ok := s.stale.get(key); ok {
-				cached.Degraded = true
-				if !req.IncludeOutput {
-					cached.Output = ""
-				}
-				writeJSON(w, http.StatusOK, cached)
-				return
-			}
-		}
-		if status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout {
+		if !setQuotaHeaders(w, err) &&
+			(status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout) {
 			w.Header().Set("Retry-After", "1")
 		}
 		httpError(w, status, code, err)
 		return
 	}
-	resp := toPredictResp(res, true)
-	if keyErr == nil {
-		s.stale.put(key, resp)
-	}
-	if !req.IncludeOutput {
-		resp.Output = ""
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, toPredictResp(res, req.IncludeOutput))
 }
 
 // handleCompare serves the static-vs-dynamic tournament. Identical
 // requests are deduplicated and cached inside the service (the compare
-// stage's content-hash cache), so no stale-response layer is needed
-// here; shed requests surface as 429 for the gateway to hedge or retry.
+// stage's content-hash cache); shed requests surface as 429 for the
+// gateway to hedge or retry.
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)

@@ -239,7 +239,7 @@ func TestPredictBudgetExhausted(t *testing.T) {
 }
 
 // TestDegradedServingWhenBreakerOpen: with a stage breaker open, a
-// request the server has answered before gets its stale result marked
+// request the server has answered before gets its cached answer marked
 // degraded, and an unseen request gets 429 with Retry-After.
 func TestDegradedServingWhenBreakerOpen(t *testing.T) {
 	defer resilience.ClearFaults()
@@ -265,14 +265,14 @@ func TestDegradedServingWhenBreakerOpen(t *testing.T) {
 		}
 	}
 
-	// The primed request is shed by the open breaker, but the server
-	// still has its last good answer.
+	// The primed request is shed by the open breaker, but the service
+	// caches still hold its analysis and run.
 	resp, out := postPredict(t, ts, primed)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded request status = %d, want 200", resp.StatusCode)
 	}
 	if !out.Degraded {
-		t.Fatal("stale response not marked degraded")
+		t.Fatal("cached answer not marked degraded")
 	}
 	if out.Steps != first.Steps || out.Heuristic != first.Heuristic {
 		t.Fatalf("degraded response %+v differs from original %+v", out, first)

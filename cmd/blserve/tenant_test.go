@@ -79,12 +79,12 @@ func TestTenantQuota429(t *testing.T) {
 		t.Errorf("unrelated tenant status = %d, want 200", resp.StatusCode)
 	}
 	// A global-overload shed never carries X-RateLimit-Limit; quota
-	// rejections must never be served stale either — re-ask as metered:
-	// the earlier 200 populated the stale cache for this exact body, yet
-	// the tenant still sees its 429.
+	// rejections must never be answered degraded either — re-ask as
+	// metered: the earlier 200 cached this exact request, yet the tenant
+	// still sees its 429.
 	resp = tenantPost(t, ts, "/v1/predict", body, hdr, &e)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("metered retry status = %d, want 429 (stale cache must not mask quota)", resp.StatusCode)
+		t.Fatalf("metered retry status = %d, want 429 (cached answer must not mask quota)", resp.StatusCode)
 	}
 }
 

@@ -226,7 +226,7 @@ func (h *harness) start() error {
 		"-workers", "4",
 		"-queue", "8",
 		"-timeout", "2s",
-		"-drain", "5s",
+		"-drain-timeout", "5s",
 		"-chaos-admin",
 		"-state-dir", h.cfg.StateDir,
 		"-snapshot-every", "500ms",

@@ -26,9 +26,11 @@
 //     gateway's own Timeout) bounds every attempt, and the remaining
 //     budget is re-stamped on each upstream request so a replica never
 //     works past the moment the client stops caring.
-//   - Brownout degradation: when every option is exhausted, a
-//     last-known-good response for the identical request is served
-//     with "degraded":true instead of an error.
+//   - Brownout degradation: when every option is exhausted, the
+//     last 200 body for the byte-identical request on the same route
+//     is served with "degraded":true instead of an error. It is the
+//     one answer left once every replica is down, and the only cache
+//     the gateway keeps.
 package cluster
 
 import (

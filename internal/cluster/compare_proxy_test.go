@@ -120,7 +120,11 @@ func TestStaleKeyRouteScoped(t *testing.T) {
 	if kp == "" || kc == "" || kp == kc {
 		t.Fatalf("staleKey collides across routes: %q vs %q", kp, kc)
 	}
-	if staleKey("/v1/predict", []byte("not json")) != "" {
-		t.Fatal("non-JSON body should produce an empty key")
+	// 2^53 and 2^53+1 are one float64: a key that decodes numbers
+	// would merge these two distinct requests.
+	k1 := staleKey("/v1/predict", []byte(`{"input":[9007199254740992]}`))
+	k2 := staleKey("/v1/predict", []byte(`{"input":[9007199254740993]}`))
+	if k1 == k2 {
+		t.Fatal("staleKey merges inputs that differ past float64 precision")
 	}
 }

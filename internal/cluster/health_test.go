@@ -152,31 +152,30 @@ func TestActiveProbing(t *testing.T) {
 
 func TestStaleStore(t *testing.T) {
 	s := newStaleStore(2)
-	k1 := canonicalKey([]byte(`{"a":1,"b":2}`))
-	k2 := canonicalKey([]byte(`{"b":2,"a":1}`))
-	if k1 == "" || k1 != k2 {
-		t.Fatalf("canonical keys differ across field order: %q vs %q", k1, k2)
-	}
-	if canonicalKey([]byte(`not json`)) != "" {
-		t.Fatal("non-JSON body produced a key")
-	}
-
-	s.put(k1, []byte(`{"name":"x","degraded":false}`))
-	got, ok := s.get(k1)
-	if !ok {
-		t.Fatal("miss on stored key")
-	}
-	if !strings.Contains(string(got), `"degraded":true`) {
-		t.Fatalf("stored body not degraded: %s", got)
+	// Inputs past float64 precision are distinct requests with distinct
+	// answers: each brownout read returns its own, integers exact.
+	k1 := staleKey("/v1/predict", []byte(`{"input":[9007199254740992]}`))
+	k2 := staleKey("/v1/predict", []byte(`{"input":[9007199254740993]}`))
+	s.put(k1, []byte(`{"name":"x","exit_code":9007199254740992}`))
+	s.put(k2, []byte(`{"name":"x","exit_code":9007199254740993,"degraded":false}`))
+	for key, exit := range map[string]string{k1: "9007199254740992", k2: "9007199254740993"} {
+		got, ok := s.get(key)
+		if !ok {
+			t.Fatal("miss on stored key")
+		}
+		if !strings.Contains(string(got), `"degraded":true`) {
+			t.Fatalf("brownout body not degraded: %s", got)
+		}
+		if !strings.Contains(string(got), `"exit_code":`+exit+`,`) {
+			t.Fatalf("brownout body %s, want exit_code %s exactly", got, exit)
+		}
 	}
 
 	// LRU eviction at capacity 2: touching k1 keeps it, k3 evicts k2.
-	k3 := canonicalKey([]byte(`{"c":3}`))
-	kOld := canonicalKey([]byte(`{"old":1}`))
-	s.put(kOld, []byte(`{}`))
+	k3 := staleKey("/v1/predict", []byte(`{"c":3}`))
 	s.get(k1)
 	s.put(k3, []byte(`{}`))
-	if _, ok := s.get(kOld); ok {
+	if _, ok := s.get(k2); ok {
 		t.Fatal("LRU did not evict the cold entry")
 	}
 	if _, ok := s.get(k1); !ok {

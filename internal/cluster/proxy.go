@@ -121,10 +121,8 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if traceID == "" {
 		traceID = act.ID()
 	}
-	// The canonical content key doubles as the brownout cache key and
-	// the rendezvous routing key: it is the gateway-side analogue of
-	// Service.RequestKey, so equivalent request bodies land on (and
-	// warm) the same replica.
+	// One key serves the brownout cache and rendezvous routing, so a
+	// repeated request lands on (and warms) the same replica.
 	key := staleKey(r.URL.Path, body)
 	res := g.do(ctx, proxyReq{
 		path:    r.URL.Path,
@@ -182,7 +180,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 // proxyReq bundles what one proxied request carries upstream: the
 // route, the body, the propagated trace and tenant identities, and the
-// canonical content key the routing policy shards on.
+// request key the routing policy shards on.
 type proxyReq struct {
 	path    string
 	body    []byte

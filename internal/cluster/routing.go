@@ -14,13 +14,12 @@ const (
 	// idle replicas share traffic evenly. The default.
 	RoutingLeastInflight = "least-inflight"
 	// RoutingRendezvous routes by rendezvous (highest-random-weight)
-	// hashing on the request's canonical content key — the gateway-side
-	// analogue of Service.RequestKey — so each replica's caches
-	// specialize on a stable shard of the key space. N replicas become
-	// an N×-larger effective cache with no resharding step: when a
-	// replica dies only its ~1/N of keys remap (to the runner-up by
-	// hash weight), and they return when it comes back. Keyless
-	// requests (non-canonical bodies) fall back to least-inflight.
+	// hashing on the request key (staleKey: route plus exact body
+	// bytes), so each replica's caches specialize on a stable shard of
+	// the key space. N replicas become an N×-larger effective cache
+	// with no resharding step: when a replica dies only its ~1/N of
+	// keys remap (to the runner-up by hash weight), and they return
+	// when it comes back.
 	RoutingRendezvous = "rendezvous"
 )
 
@@ -28,8 +27,7 @@ const (
 //
 // The gateway narrows the replica set to the best non-empty health
 // tier first (see Gateway.pick); the policy chooses within it.
-// candidates is never empty. key is the request's canonical content
-// hash (staleKey), or "" when the body has no canonical form.
+// candidates is never empty. key is the request key (staleKey).
 // Implementations must be safe for concurrent use.
 type RoutingPolicy interface {
 	Name() string
@@ -44,7 +42,7 @@ func newRoutingPolicy(name string, seed uint64) (RoutingPolicy, error) {
 	case "", RoutingLeastInflight:
 		return li, nil
 	case RoutingRendezvous:
-		return &rendezvous{fallback: li}, nil
+		return rendezvous{}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown routing policy %q (want %s or %s)",
 			name, RoutingLeastInflight, RoutingRendezvous)
@@ -102,14 +100,11 @@ func (p *leastInflight) Pick(_ string, candidates []*replica) *replica {
 // only the keys it owned (~1/N of them, to their second-highest
 // scorer) and adding it back reclaims exactly those — minimal
 // disruption with no coordination or resharding step.
-type rendezvous struct{ fallback *leastInflight }
+type rendezvous struct{}
 
-func (p *rendezvous) Name() string { return RoutingRendezvous }
+func (rendezvous) Name() string { return RoutingRendezvous }
 
-func (p *rendezvous) Pick(key string, candidates []*replica) *replica {
-	if key == "" {
-		return p.fallback.Pick(key, candidates)
-	}
+func (rendezvous) Pick(key string, candidates []*replica) *replica {
 	best := candidates[0]
 	bestScore := hrwScore(key, best.id)
 	for _, rep := range candidates[1:] {

@@ -137,18 +137,6 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestRendezvousKeylessFallsBack: a request with no canonical key
-// cannot shard, so it takes the least-inflight path.
-func TestRendezvousKeylessFallsBack(t *testing.T) {
-	reps := testReplicas(t, 3)
-	reps[0].inflight.Store(9)
-	reps[2].inflight.Store(9)
-	p, _ := newRoutingPolicy(RoutingRendezvous, 1)
-	if got := p.Pick("", reps); got != reps[1] {
-		t.Fatalf("keyless pick = %s, want the idle replica1", got.id)
-	}
-}
-
 func TestUnknownRoutingPolicyRejected(t *testing.T) {
 	if _, err := newRoutingPolicy("bogus", 1); err == nil {
 		t.Fatal("unknown routing policy must be rejected")

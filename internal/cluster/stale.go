@@ -1,49 +1,43 @@
 package cluster
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"sync"
 )
 
-// canonicalKey hashes a predict request body insensitively to JSON
-// field order and whitespace, so equivalent requests share one
-// brownout cache entry. Returns "" for bodies that are not JSON
-// objects — those can't succeed upstream either, so caching is moot.
-func canonicalKey(body []byte) string {
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		return ""
-	}
-	canon, err := json.Marshal(m) // map keys marshal sorted
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:])
-}
-
-// staleKey namespaces a canonical body hash by route: an identical JSON
-// body posted to /v1/predict and /v1/compare names two different
-// answers, so the brownout cache must never serve one for the other.
-// Preserves canonicalKey's "" pass-through for non-JSON bodies.
+// staleKey is the gateway's request identity, shared by the brownout
+// cache and rendezvous routing: SHA-256 over the route, a NUL byte, and
+// the exact body bytes. Byte identity is the only identity a proxy can
+// compute with every replica down, and it never merges two requests
+// that differ: no decoding, so no number or field is ever rounded away.
+// Hashing the route keeps an identical body on /v1/predict and
+// /v1/compare apart; the NUL keeps route and body from running together.
 func staleKey(path string, body []byte) string {
-	k := canonicalKey(body)
-	if k == "" {
-		return ""
-	}
-	return path + ":" + k
+	h := sha256.New()
+	io.WriteString(h, path)
+	h.Write([]byte{0})
+	h.Write(body)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// degradeBody rewrites a successful predict response with
-// "degraded":true, so a brownout consumer can tell a stale answer from
-// a fresh one. Bodies that fail to parse are returned unchanged.
-func degradeBody(body []byte) []byte {
+// degrade marks a stored response body "degraded":true for a brownout
+// read. Numbers decode as json.Number, so they re-encode with their
+// exact text (an int64 exit code never passes through float64). A body
+// that is not exactly one JSON object comes back unchanged.
+func degrade(body []byte) []byte {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
 	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := dec.Decode(&m); err != nil || m == nil {
 		return body
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return body // trailing data after the object
 	}
 	m["degraded"] = true
 	out, err := json.Marshal(m)
@@ -54,9 +48,9 @@ func degradeBody(body []byte) []byte {
 }
 
 // staleStore is the gateway's last-known-good response cache: an LRU
-// keyed by canonical request hash, holding the degraded form of the
-// most recent successful response body. It only ever serves during
-// brownout, so entries are stored pre-degraded.
+// keyed by staleKey, holding the raw body of the most recent 200. It
+// only ever serves during brownout, so the successful path stores the
+// bytes as received and get pays for the "degraded" rewrite.
 type staleStore struct {
 	mu  sync.Mutex
 	cap int
@@ -73,20 +67,17 @@ func newStaleStore(capacity int) *staleStore {
 	return &staleStore{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
 }
 
-// put records a successful response body for key. No-op on empty keys.
+// put records a successful response body for key. body must not be
+// modified afterwards.
 func (s *staleStore) put(key string, body []byte) {
-	if key == "" {
-		return
-	}
-	degraded := degradeBody(body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
-		el.Value.(*staleEntry).body = degraded
+		el.Value.(*staleEntry).body = body
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.m[key] = s.ll.PushFront(&staleEntry{key: key, body: degraded})
+	s.m[key] = s.ll.PushFront(&staleEntry{key: key, body: body})
 	for s.ll.Len() > s.cap {
 		last := s.ll.Back()
 		s.ll.Remove(last)
@@ -94,19 +85,18 @@ func (s *staleStore) put(key string, body []byte) {
 	}
 }
 
-// get returns the degraded last-known-good body for key.
+// get returns the degraded form of the last-known-good body for key.
 func (s *staleStore) get(key string) ([]byte, bool) {
-	if key == "" {
-		return nil, false
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.m[key]
 	if !ok {
+		s.mu.Unlock()
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*staleEntry).body, true
+	body := el.Value.(*staleEntry).body
+	s.mu.Unlock()
+	return degrade(body), true
 }
 
 // len reports the entry count (stats).

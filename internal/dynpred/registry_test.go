@@ -27,26 +27,6 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-func TestWrappersMatchRegistry(t *testing.T) {
-	events := seq(true, true, false, true, false, false, true, true, true, false)
-	for _, tc := range []struct {
-		name string
-		old  Result
-	}{
-		{NameOneBit, OneBit(events, 1)},
-		{NameTwoBit, TwoBit(events, 1)},
-	} {
-		p, err := New(tc.name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Replay(events, 1, p)
-		if got.Branches != tc.old.Branches || got.Miss != tc.old.Miss {
-			t.Errorf("%s: wrapper %+v != registry replay %+v", tc.name, tc.old, got)
-		}
-	}
-}
-
 func TestMissRateZeroBranches(t *testing.T) {
 	var r Result
 	if rate := r.MissRate(); rate != 0 {

@@ -155,7 +155,7 @@ type DynPredRow struct {
 	Perfect float64 // profile-based static (perfect for this run)
 	OneBit  float64 // per-branch last-direction hardware predictor
 	TwoBit  float64 // per-branch two-bit saturating counter
-	Bimodal float64 // shared PC-indexed counter table (aliasing)
+	Bimodal float64 // shared PC-indexed counter table (no suite program aliases it)
 	Gshare  float64 // global history XOR PC (McFarling)
 	Tage    float64 // tagged geometric-history tables (Seznec)
 }

@@ -42,13 +42,11 @@ type BreakerPolicy struct {
 	// Threshold is the number of consecutive tripping failures that
 	// opens the breaker; <= 0 disables the breaker entirely.
 	Threshold int
-	// Cooldown is how long an open breaker rejects before letting
-	// half-open probes through; <= 0 means the default.
-	Cooldown time.Duration
-	// Probes is deprecated and ignored: a half-open breaker admits
+	// Cooldown is how long an open breaker rejects before going
+	// half-open; <= 0 means the default. A half-open breaker admits
 	// exactly one in-flight probe, so a thundering herd arriving at the
 	// end of a cooldown cannot re-saturate a recovering dependency.
-	Probes int
+	Cooldown time.Duration
 	// OnTransition, when non-nil, observes every state change. It is
 	// called with the breaker's internal lock held, so it must be fast
 	// and must not call back into the breaker.
@@ -57,7 +55,7 @@ type BreakerPolicy struct {
 
 // DefaultBreaker opens after 5 consecutive failures and probes again
 // after 5 seconds.
-var DefaultBreaker = BreakerPolicy{Threshold: 5, Cooldown: 5 * time.Second, Probes: 1}
+var DefaultBreaker = BreakerPolicy{Threshold: 5, Cooldown: 5 * time.Second}
 
 // Breaker is a closed/open/half-open circuit breaker. Safe for
 // concurrent use; a nil Breaker admits everything.

@@ -276,7 +276,7 @@ func TestBreakerConcurrent(t *testing.T) {
 // no matter how it ends, and no matter how stale probes from earlier
 // half-open windows settle.
 func TestBreakerThunderingProbes(t *testing.T) {
-	b := NewBreaker("stage", BreakerPolicy{Threshold: 1, Cooldown: time.Second, Probes: 64})
+	b := NewBreaker("stage", BreakerPolicy{Threshold: 1, Cooldown: time.Second})
 	clock := time.Unix(0, 0)
 	b.now = func() time.Time { return clock }
 
@@ -306,7 +306,7 @@ func TestBreakerThunderingProbes(t *testing.T) {
 	clock = clock.Add(2 * time.Second)
 	admitted, rejected := herd()
 	if len(admitted) != 1 || rejected != 15 {
-		t.Fatalf("post-cooldown herd admitted %d, rejected %d; want exactly 1 probe (Probes is ignored)",
+		t.Fatalf("post-cooldown herd admitted %d, rejected %d; want exactly 1 probe",
 			len(admitted), rejected)
 	}
 	staleProbe := admitted[0]

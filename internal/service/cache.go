@@ -90,6 +90,21 @@ func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error
 	}
 }
 
+// peek returns key's value only if its computation has completed
+// successfully: it never computes, never joins an in-flight flight,
+// and never waits. A hit refreshes the entry's LRU position like do.
+func (c *flightCache[V]) peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.m[key]
+	if !ok || f.elem == nil {
+		var zero V
+		return zero, false
+	}
+	c.order.MoveToFront(f.elem)
+	return f.val, true
+}
+
 // evict trims completed entries beyond max, oldest first. Caller holds
 // c.mu. In-flight entries are not in order and so are never evicted.
 func (c *flightCache[V]) evict() {

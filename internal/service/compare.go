@@ -118,21 +118,6 @@ func (req *CompareRequest) compareKey(runKey string) string {
 	return h.i64(req.H2PMinExecuted).sum()
 }
 
-// CompareKey returns the canonical content hash identifying the result
-// of req, for response caches layered above the service (the compare
-// analogue of RequestKey). Resolution failures classify as invalid
-// input.
-func (s *Service) CompareKey(req CompareRequest) (string, error) {
-	if err := s.resolve(&req.Request); err != nil {
-		return "", err
-	}
-	if err := resolveCompare(&req); err != nil {
-		return "", err
-	}
-	_, _, runKey := req.Request.keys()
-	return req.compareKey(runKey), nil
-}
-
 // Compare races the requested dynamic predictors against the Ball-Larus
 // static predictions (and the perfect static predictor) over one
 // interpreter run, streaming the branch-event trace into every entrant

@@ -184,29 +184,32 @@ func TestCompareDeterministicAcrossServices(t *testing.T) {
 	}
 }
 
-func TestCompareKeyStable(t *testing.T) {
+// TestCompareCacheKeyNormalized: the compare cache key normalizes the
+// backend list, so a defaulted nil list and the explicit full list
+// share one entry, while a different backend set does not.
+func TestCompareCacheKeyNormalized(t *testing.T) {
 	s := New()
-	k1, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	cached := func(preds []string) bool {
+		t.Helper()
+		res, err := s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: preds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.CompareCached
 	}
-	// Explicit full backend list hashes like the defaulted nil list.
-	k2, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: dynpred.Names()})
-	if err != nil {
-		t.Fatal(err)
+	if cached(nil) {
+		t.Fatal("first compare reported a cache hit")
 	}
-	if k1 != k2 {
-		t.Error("defaulted and explicit backend lists hash differently")
+	// Explicit full backend list hits the entry the defaulted nil list made.
+	if !cached(dynpred.Names()) {
+		t.Error("defaulted and explicit backend lists key differently")
 	}
-	k3, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{dynpred.NameGshare}})
-	if err != nil {
-		t.Fatal(err)
+	if cached([]string{dynpred.NameGshare}) {
+		t.Error("different backend sets share a cache entry")
 	}
-	if k1 == k3 {
-		t.Error("different backend sets hash identically")
-	}
-	if _, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{"oracle"}}); err == nil {
-		t.Error("unknown backend should fail key derivation")
+	if _, err := s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{"oracle"}}); !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Errorf("unknown backend err = %v, want invalid input", err)
 	}
 }
 

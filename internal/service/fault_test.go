@@ -124,6 +124,49 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestShedRequestAnsweredFromCaches: with the analyze breaker open, a
+// request whose analysis and run are both cached is answered from them
+// — concurrently, exactly, marked Degraded, without entering a stage —
+// while a request whose run is not cached still fails as overload.
+func TestShedRequestAnsweredFromCaches(t *testing.T) {
+	defer resilience.ClearFaults()
+	s := New(WithBreakerPolicy(resilience.BreakerPolicy{Threshold: 1, Cooldown: time.Minute}))
+	ctx := context.Background()
+	fresh, err := s.Predict(ctx, Request{Source: testSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resilience.InjectFault("service."+stageAnalyze, resilience.Fault{Err: errors.New("down")})
+	if _, err := s.Predict(ctx, Request{Source: testSrc, Optimize: true}); !errors.Is(err, resilience.ErrInternal) {
+		t.Fatalf("breaker-opening request: err = %v, want internal", err)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Predict(ctx, Request{Source: testSrc})
+			if err != nil {
+				t.Errorf("cached shed request: %v", err)
+				return
+			}
+			if !res.Degraded || res.Steps != fresh.Steps || res.Heuristic != fresh.Heuristic {
+				t.Errorf("degraded answer %+v, want %+v marked degraded", res, fresh)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := resilience.FaultFired("service." + stageAnalyze); n != 1 {
+		t.Errorf("analyze stage entered %d times, want 1 (degraded answers run no stage)", n)
+	}
+
+	// Same analysis, different seed: the run is not cached.
+	if _, err := s.Predict(ctx, Request{Source: testSrc, Seed: 7}); !errors.Is(err, resilience.ErrOverload) {
+		t.Fatalf("uncached shed request: err = %v, want overload", err)
+	}
+}
+
 // TestRetryRecoversTransientFault: a fault that fails twice with a
 // transient error is absorbed by the retry policy — the request
 // succeeds and the retries are counted.

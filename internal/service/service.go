@@ -345,7 +345,10 @@ type Result struct {
 	ProgramCached  bool
 	AnalysisCached bool
 	RunCached      bool
-	Elapsed        time.Duration
+	// Degraded marks an answer served from the caches alone because
+	// the service shed the request (see Predict).
+	Degraded bool
+	Elapsed  time.Duration
 }
 
 // ErrBusy is returned when a request was shed: the queue was full, or
@@ -438,6 +441,12 @@ func (req *Request) keys() (progKey, analysisKey, runKey string) {
 // error is classified into the resilience taxonomy: errors.Is against
 // exactly one of resilience.ErrInvalidInput, ErrResourceExhausted,
 // ErrOverload, ErrTimeout, or ErrInternal holds.
+//
+// A request shed as overload (full queue, open breaker, a tenant over
+// its fair share) is answered from the analysis and run caches when
+// both hold it, with Result.Degraded set; only an uncached shed request
+// gets the error. Per-tenant quota rejections are never answered this
+// way: the tenant must see that it is over quota.
 func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 	s.met.requests.Add(1)
 	start := time.Now()
@@ -446,9 +455,27 @@ func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
 		defer cancel()
 	}
-	done, err := s.admitTraced(ctx)
+	res, err := s.admitPredict(ctx, req)
 	if err != nil {
 		s.met.errors.Add(1)
+		if !errors.Is(err, resilience.ErrOverload) || errors.Is(err, resilience.ErrQuotaExceeded) {
+			return nil, err
+		}
+		if res = s.degraded(ctx, req); res == nil {
+			return nil, err
+		}
+	} else {
+		s.met.completed.Add(1)
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// admitPredict runs one request through admission and the pipeline,
+// holding a worker slot only while the pipeline runs.
+func (s *Service) admitPredict(ctx context.Context, req Request) (*Result, error) {
+	done, err := s.admitTraced(ctx)
+	if err != nil {
 		return nil, err
 	}
 	defer done()
@@ -456,16 +483,32 @@ func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 	defer s.met.inFlight.Add(-1)
 
 	res, err := s.predict(ctx, req)
-	if err != nil {
-		s.met.errors.Add(1)
-		if isTransient(err) {
-			s.met.canceled.Add(1)
-		}
-		return nil, err
+	if err != nil && isTransient(err) {
+		s.met.canceled.Add(1)
 	}
-	res.Elapsed = time.Since(start)
-	s.met.completed.Add(1)
-	return res, nil
+	return res, err
+}
+
+// degraded answers a shed request from completed cache entries alone:
+// it takes no worker slot and runs no breaker-guarded stage. The
+// pipeline is deterministic, so a cached analysis and run yield exactly
+// the answer a fresh run would. Returns nil when either is not cached.
+func (s *Service) degraded(ctx context.Context, req Request) *Result {
+	if s.resolve(&req) != nil {
+		return nil
+	}
+	_, analysisKey, runKey := req.keys()
+	analysis, ok := s.analyses.peek(analysisKey)
+	if !ok {
+		return nil
+	}
+	run, ok := s.runs.peek(runKey)
+	if !ok {
+		return nil
+	}
+	res := s.result(ctx, &req, analysis, run)
+	res.AnalysisCached, res.RunCached, res.Degraded = true, true, true
+	return res
 }
 
 // admitTraced wraps tenant-quota and worker-slot admission in an
@@ -634,15 +677,6 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 
-	// Stage 4: the prediction vector under the requested order. Cheap,
-	// derived, and order-specific, so computed per request.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	preds, _, _ := timedCtx(ctx, s.met, stagePredict, func() ([]core.Prediction, bool, error) {
-		return analysis.Predictions(req.Order), false, nil
-	})
-
 	// Stage 5: execute. The interpreter is deterministic given the
 	// config, so results are content-addressed like everything else.
 	// Runtime faults in the program are the client's; a blown budget is
@@ -679,7 +713,24 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		s.met.runMisses.Add(1)
 	}
 
-	// Stage 6: score the predictions against the measured profile.
+	// Stages 4 and 6: the order's prediction vector, scored.
+	res := s.result(ctx, &req, analysis, run)
+	res.ProgramCached = progHit
+	res.AnalysisCached = analysisHit
+	res.RunCached = runHit
+	s.observeCompleted(&req, runKey)
+	return res, nil
+}
+
+// result runs stages 4 and 6 over an analysis and a run of a resolved
+// request: the prediction vector under the requested order (cheap,
+// derived, and order-specific, so computed per request, never cached),
+// then its scores against the run's profile. Both a full pipeline pass
+// and a degraded answer from the caches assemble their Result here.
+func (s *Service) result(ctx context.Context, req *Request, analysis *core.Analysis, run *interp.Result) *Result {
+	preds, _, _ := timedCtx(ctx, s.met, stagePredict, func() ([]core.Prediction, bool, error) {
+		return analysis.Predictions(req.Order), false, nil
+	})
 	res := &Result{
 		Name:            req.Benchmark,
 		Analysis:        analysis,
@@ -690,9 +741,6 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		Steps:           run.Steps,
 		ExitCode:        run.ExitCode,
 		Output:          run.Output,
-		ProgramCached:   progHit,
-		AnalysisCached:  analysisHit,
-		RunCached:       runHit,
 	}
 	if res.Name == "" {
 		res.Name = "<source>"
@@ -710,8 +758,7 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		s.met.observeAttribution(analysis, req.Order, run.Profile)
 		return struct{}{}, false, nil
 	})
-	s.observeCompleted(&req, runKey)
-	return res, nil
+	return res
 }
 
 // compileStage runs (or cache-loads) compilation and optional
@@ -743,25 +790,6 @@ func (s *Service) analyzeStage(ctx context.Context, analysisKey string, prog *mi
 			return core.Analyze(prog, s.cfg.analysis)
 		})
 	})
-}
-
-// RequestKey returns the canonical content hash identifying the result
-// of req: the run key (program, options, input, budget, seed) extended
-// with the heuristic order, which shapes the prediction vector and
-// scores. Equivalent requests — benchmark name vs. its source, omitted
-// vs. explicit defaults — hash identically, so it is the right key for
-// any response cache layered above the service. Resolution failures
-// classify as invalid input.
-func (s *Service) RequestKey(req Request) (string, error) {
-	if err := s.resolve(&req); err != nil {
-		return "", err
-	}
-	_, _, runKey := req.keys()
-	h := newHasher().str(runKey).str("order")
-	for _, heur := range req.Order {
-		h.i64(int64(heur))
-	}
-	return h.sum(), nil
 }
 
 // score computes the all-branch miss rate of a prediction vector against
