@@ -384,6 +384,23 @@ func BenchmarkSubsetsSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkSubsetsExact runs the full C(22,11) generalization experiment
+// (705,432 trials) on the cached suite sweep.
+func BenchmarkSubsetsExact(b *testing.B) {
+	e := sharedEvaluator(b)
+	s, err := e.Sweep()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SubsetsCtx(context.Background(), 11); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- Extensions ----
 
 // BenchmarkExtensionFreq measures the static-profile-estimation extension

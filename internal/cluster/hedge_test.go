@@ -34,7 +34,9 @@ func TestLatencyTrackerDelay(t *testing.T) {
 
 // TestHedgeBeatsStall: with one replica stalled, the hedge fires after
 // the configured delay and the fast replica's answer wins — the
-// client never waits out the stall.
+// client never waits out the stall. RoutingSeed 1 makes the first
+// least-inflight tie-break (both replicas idle) send the first primary
+// to the stalled replica, so a hedge fires on every run.
 func TestHedgeBeatsStall(t *testing.T) {
 	const stall = 3 * time.Second
 	slowRep := newFakeReplica(t, "slow")
@@ -53,6 +55,7 @@ func TestHedgeBeatsStall(t *testing.T) {
 		HedgeMin:     10 * time.Millisecond,
 		RetryRatio:   1,
 		RetryBurst:   100,
+		RoutingSeed:  1,
 	}, slowRep, fastRep)
 
 	start := time.Now()
