@@ -33,7 +33,6 @@ package ballarus
 import (
 	"context"
 	"errors"
-	"sort"
 
 	"ballarus/internal/core"
 	"ballarus/internal/durable"
@@ -377,7 +376,8 @@ func WithH2PMinExecuted(n int64) CompareOption {
 // tournament: the Ball-Larus static predictions and the perfect static
 // predictor against each dynamic backend, plus the per-branch
 // hard-to-predict classification. Cancellation of ctx interrupts the
-// run, matching ExecuteCtx.
+// run, matching ExecuteCtx. The scoring is service.Tournament, the same
+// as Service.Compare's.
 func CompareCtx(ctx context.Context, prog *Program, opts ...CompareOption) (*Comparison, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -393,44 +393,16 @@ func CompareCtx(ctx context.Context, prog *Program, opts ...CompareOption) (*Com
 	if err != nil {
 		return nil, err
 	}
-	tour, err := dynpred.NewTournament(len(analysis.Branches), cfg.backends)
-	if err != nil {
-		return nil, err
-	}
 	runCfg := cfg.run
 	runCfg.Interrupt = ctx.Done()
-	runCfg.OnEvent = tour.Observe
-	run, err := interp.Run(prog, runCfg)
+	t, err := service.Tournament(analysis, analysis.Predictions(cfg.order), cfg.backends, cfg.h2pMinExec, runCfg)
 	if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	preds := analysis.Predictions(cfg.order)
-	static := dynpred.StaticResult(run.Profile, trace.PredictionVector(preds))
-	perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-	dynamics := tour.Results()
-	h2p, err := dynpred.ClassifyH2P(static, dynamics, dynpred.H2POptions{MinExecuted: cfg.h2pMinExec})
-	if err != nil {
-		return nil, err
-	}
-
-	c := &Comparison{H2P: h2p, Analysis: analysis, Run: run}
-	add := func(name string, r dynpred.Result) {
-		c.Predictors = append(c.Predictors, PredictorScore{
-			Name: name, Branches: r.Branches, Misses: r.Miss,
-			MissRatePct: r.MissRate(), PerBranch: r.PerBranch,
-		})
-	}
-	add(CompareStatic, static)
-	add(ComparePerfect, perfect)
-	for _, d := range dynamics {
-		add(d.Name, d.Result)
-	}
-	sort.Slice(c.Predictors, func(i, j int) bool { return c.Predictors[i].Name < c.Predictors[j].Name })
-	return c, nil
+	return &Comparison{Predictors: t.Predictors, H2P: t.H2P, Analysis: analysis, Run: t.Run}, nil
 }
 
 // ---- Prediction service ----

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -24,7 +23,12 @@ import (
 
 	"ballarus/internal/cli"
 	"ballarus/internal/obs"
+	"ballarus/internal/resilience"
 )
+
+// maxResponse bounds a gateway answer; a longer one is an error, not a
+// truncated trace.
+const maxResponse = 16 << 20
 
 func main() {
 	gate := flag.String("gate", "http://127.0.0.1:8722", "blgate base URL")
@@ -58,7 +62,7 @@ func fetch(client *http.Client, base, path string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := resilience.ReadBounded(resp.Body, maxResponse)
 	if err != nil {
 		return err
 	}

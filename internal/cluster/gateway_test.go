@@ -272,6 +272,54 @@ func TestGatewayBrownout(t *testing.T) {
 	}
 }
 
+// TestGatewayOversizeAnswer: a replica answer longer than the response
+// bound is a 502, never a 200 with the body cut at the bound. The
+// replica that sent it stays routable, nothing new enters the brownout
+// store, and an earlier stale answer for the same request is not served
+// in its place.
+func TestGatewayOversizeAnswer(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	g, ts := newTestGateway(t, Config{
+		MaxAttempts: 2, RetryRatio: 1, RetryBurst: 100,
+		EjectAfter: 1, EjectBase: time.Minute, EjectMax: time.Minute,
+	}, a, b)
+
+	const primed = `{"source":"primed"}`
+	if resp, data := postBody(t, ts.URL, primed, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("prime status = %d (body %s)", resp.StatusCode, data)
+	}
+	huge := `{"name":"` + string(bytes.Repeat([]byte("x"), 5<<20)) + `"}`
+	for _, f := range []*fakeReplica{a, b} {
+		f.predict.Store(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, huge)
+		})
+	}
+
+	for i, body := range []string{primed, `{"source":"fresh0"}`, `{"source":"fresh1"}`, `{"source":"fresh2"}`} {
+		resp, data := postBody(t, ts.URL, body, nil)
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("request %d: status = %d with %d body bytes, want 502", i, resp.StatusCode, len(data))
+		}
+		var e map[string]string
+		if err := json.Unmarshal(data, &e); err != nil || e["code"] != "upstream_error" {
+			t.Fatalf("request %d: body %.200s is not the upstream_error JSON shape (err %v)", i, data, err)
+		}
+	}
+	for _, rs := range g.Stats().Replicas {
+		if rs.Ejected || rs.Ejections != 0 {
+			t.Errorf("replica %s ejected for an oversize answer: %+v", rs.URL, rs)
+		}
+	}
+	if n := g.stale.len(); n != 1 {
+		t.Errorf("brownout store holds %d entries, want only the primed one", n)
+	}
+	if n := g.metrics.staleServed.Value(); n != 0 {
+		t.Errorf("stale answers served = %d, want 0", n)
+	}
+}
+
 // TestGatewayDeadline: a short client deadline surfaces as 504 and is
 // propagated upstream via X-Deadline-Ms.
 func TestGatewayDeadline(t *testing.T) {

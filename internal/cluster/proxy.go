@@ -14,7 +14,13 @@ import (
 	"time"
 
 	"ballarus/internal/obs"
+	"ballarus/internal/resilience"
 )
+
+// maxResponseBody bounds every body the gateway reads from a replica.
+// A longer answer fails the attempt with *resilience.BodyTooLargeError
+// rather than reaching the client truncated.
+const maxResponseBody = 4 << 20
 
 // upstream is one attempt's outcome: either a transport error or a
 // relayable response.
@@ -33,15 +39,24 @@ type upstream struct {
 // replica, so they pass through. Per-tenant quota 429s — marked by
 // blserve with X-RateLimit-Limit — are terminal too: every replica
 // enforces the same quota, the rejection is deterministic for the
-// tenant, and retrying or hedging it only amplifies the overage.
+// tenant, and retrying or hedging it only amplifies the overage. An
+// oversize answer is terminal for the same reason: every replica
+// computes the same bytes.
 func (u upstream) ok() bool {
 	if u.err != nil {
-		return false
+		return isTooLarge(u.err)
 	}
 	if u.status == http.StatusTooManyRequests {
 		return u.quota()
 	}
 	return u.status < 500
+}
+
+// isTooLarge reports whether err is a replica answer that exceeded
+// maxResponseBody.
+func isTooLarge(err error) bool {
+	var e *resilience.BodyTooLargeError
+	return errors.As(err, &e)
 }
 
 // quota reports whether this outcome is a per-tenant quota rejection.
@@ -133,6 +148,12 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	})
 	if res.ok() {
 		switch {
+		case isTooLarge(res.err):
+			// Neither a truncated body nor a stale answer may stand in
+			// for the real one.
+			outcome("upstream_error", res.err)
+			gatewayError(w, http.StatusBadGateway, "upstream_error", res.err)
+			return
 		case res.status == http.StatusOK:
 			g.stale.put(key, res.body)
 			outcome("ok", nil)
@@ -337,12 +358,16 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, kind string, sp *ob
 		return
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBody))
+	b, err := resilience.ReadBounded(resp.Body, maxResponseBody)
 	if err != nil {
+		// An oversize answer comes from a healthy replica: it does not
+		// count toward ejection.
 		if cerr := ctx.Err(); cerr != nil {
 			sp.End(cerr)
 		} else {
-			g.noteFailure(rep)
+			if !isTooLarge(err) {
+				g.noteFailure(rep)
+			}
 			sp.End(err)
 		}
 		results <- upstream{err: fmt.Errorf("reading %s response: %w", rep.id, err), rep: rep, kind: kind}
@@ -443,7 +468,11 @@ func (g *Gateway) handlePassthrough(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBody))
+	b, err := resilience.ReadBounded(resp.Body, maxResponseBody)
+	if err != nil {
+		gatewayError(w, http.StatusBadGateway, "upstream_error", fmt.Errorf("reading %s response: %w", rep.id, err))
+		return
+	}
 	relay(w, upstream{status: resp.StatusCode, header: resp.Header, body: b})
 }
 

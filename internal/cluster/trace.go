@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"ballarus/internal/obs"
+	"ballarus/internal/resilience"
 )
 
 // handleDebugTraces serves the gateway's own trace ring and archive
@@ -129,7 +129,7 @@ func (g *Gateway) fetchReplicaTraces(ctx context.Context, rep *replica, id strin
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBody))
+	body, err := resilience.ReadBounded(resp.Body, maxResponseBody)
 	if err != nil {
 		return nil
 	}

@@ -13,7 +13,11 @@
 // constructed through a name-keyed registry, so serving layers can
 // offer a tournament over any subset by name. Feed them incrementally
 // through interp.Config.OnEvent (no full-trace materialization) via a
-// Tournament, or over a materialized trace with Replay.
+// Tournament; service.Tournament is the one scorer built on it, behind
+// Service.Compare, ballarus.CompareCtx and the evaluator's DynPred
+// table. Replay drives a predictor over a materialized trace instead;
+// only the tests and the perfbench ledger's per-predictor timing still
+// use it.
 package dynpred
 
 import (

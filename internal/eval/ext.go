@@ -7,9 +7,9 @@ import (
 	"ballarus/internal/dynpred"
 	"ballarus/internal/freq"
 	"ballarus/internal/interp"
+	"ballarus/internal/service"
 	"ballarus/internal/stats"
 	"ballarus/internal/suite"
-	"ballarus/internal/trace"
 )
 
 // FreqRow is one benchmark's static-profile-estimation quality.
@@ -173,31 +173,38 @@ var dynRowBackends = []struct {
 	{dynpred.NameTAGE, func(r *DynPredRow) *float64 { return &r.Tage }},
 }
 
-// DynPred replays every benchmark's default-dataset trace under the
-// static pair and each registered dynamic backend — quantifying
+// DynPred runs every benchmark's default dataset once through the
+// service's tournament scorer, streaming its branch events into each
+// registered dynamic backend beside the static pair — quantifying
 // McFarling & Hennessy's claim (profile-based static ≈ dynamic
 // hardware) and how far history-based predictors push past both.
 func (e *Evaluator) DynPred() ([]DynPredRow, error) {
+	backends := make([]string, len(dynRowBackends))
+	for i, be := range dynRowBackends {
+		backends[i] = be.name
+	}
 	var rows []DynPredRow
 	for _, b := range suite.All() {
-		r, err := e.Run(b, 0, true)
+		a, err := e.Analysis(b)
 		if err != nil {
 			return nil, err
 		}
-		n := r.Profile.Set.Len()
-		heur := trace.PredictionVector(r.Analysis.Predictions(core.DefaultOrder))
-		perfect := trace.PerfectVector(r.Profile)
+		t, err := service.Tournament(a, a.Predictions(core.DefaultOrder), backends, 0,
+			interp.Config{Input: b.Data[0].Input, Budget: b.Budget})
+		if err != nil {
+			return nil, fmt.Errorf("eval: %s/%s: %w", b.Name, b.Data[0].Name, err)
+		}
+		rate := map[string]float64{}
+		for _, p := range t.Predictors {
+			rate[p.Name] = p.MissRatePct
+		}
 		row := DynPredRow{
 			Name:    b.Name,
-			Heur:    dynpred.StaticResult(r.Profile, heur).MissRate(),
-			Perfect: dynpred.StaticResult(r.Profile, perfect).MissRate(),
+			Heur:    rate[service.CompareStatic],
+			Perfect: rate[service.ComparePerfect],
 		}
 		for _, be := range dynRowBackends {
-			p, err := dynpred.New(be.name, n)
-			if err != nil {
-				return nil, err
-			}
-			*be.field(&row) = dynpred.Replay(r.Events, n, p).MissRate()
+			*be.field(&row) = rate[be.name]
 		}
 		rows = append(rows, row)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -15,6 +14,9 @@ import (
 	"ballarus/internal/resilience"
 	"ballarus/internal/service"
 )
+
+// maxShardResponse bounds a remote shard's answer body.
+const maxShardResponse = 16 << 20
 
 // Executor runs one shard somewhere — in-process, through the service's
 // metered shard stage, or on a remote replica via HTTP. Implementations
@@ -99,7 +101,12 @@ func (x *HTTPExecutor) ExecuteShard(ctx context.Context, req *ShardRequest) (*Sh
 		return nil, resilience.MarkTransient(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := resilience.ReadBounded(resp.Body, maxShardResponse)
+	var tooLarge *resilience.BodyTooLargeError
+	if errors.As(err, &tooLarge) {
+		// Every replica computes the same answer: a retry cannot fit.
+		return nil, resilience.Invalid(fmt.Errorf("jobs: shard response: %w", err))
+	}
 	if err != nil {
 		return nil, resilience.MarkTransient(err)
 	}

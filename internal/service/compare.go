@@ -9,7 +9,6 @@ import (
 	"ballarus/internal/core"
 	"ballarus/internal/dynpred"
 	"ballarus/internal/interp"
-	"ballarus/internal/mir"
 	"ballarus/internal/resilience"
 	"ballarus/internal/trace"
 )
@@ -198,7 +197,7 @@ func (s *Service) compare(ctx context.Context, req CompareRequest) (*CompareResu
 	}
 	res, compareHit, err := runStage(s, ctx, stageCompare, func() (*CompareResult, bool, error) {
 		r, hit, err := s.compares.do(ctx, req.compareKey(runKey), func() (*CompareResult, error) {
-			return s.runTournament(ctx, &req, prog, analysis, preds)
+			return s.runTournament(ctx, &req, analysis, preds)
 		})
 		if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
 			err = ctx.Err()
@@ -223,19 +222,14 @@ func (s *Service) compare(ctx context.Context, req CompareRequest) (*CompareResu
 	return &out, nil
 }
 
-// runTournament executes the program once, streaming events into the
-// dynamic entrants, and assembles the scored comparison.
-func (s *Service) runTournament(ctx context.Context, req *CompareRequest, prog *mir.Program, analysis *core.Analysis, preds []core.Prediction) (*CompareResult, error) {
-	tour, err := dynpred.NewTournament(len(analysis.Branches), req.Predictors)
-	if err != nil {
-		return nil, resilience.Invalid(err)
-	}
-	run, err := interp.Run(prog, interp.Config{
+// runTournament is the compare stage's cache-miss body: the shared
+// scorer plus the result fields the service reports.
+func (s *Service) runTournament(ctx context.Context, req *CompareRequest, analysis *core.Analysis, preds []core.Prediction) (*CompareResult, error) {
+	t, err := Tournament(analysis, preds, req.Predictors, req.H2PMinExecuted, interp.Config{
 		Input:     req.Input,
 		Budget:    req.Budget,
 		Seed:      req.Seed,
 		Interrupt: ctx.Done(),
-		OnEvent:   tour.Observe,
 	})
 	var f *interp.Fault
 	if errors.As(err, &f) {
@@ -244,36 +238,69 @@ func (s *Service) runTournament(ctx context.Context, req *CompareRequest, prog *
 	if err != nil {
 		return nil, err
 	}
-
-	static := dynpred.StaticResult(run.Profile, trace.PredictionVector(preds))
-	perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-	dynamics := tour.Results()
-
-	h2p, err := dynpred.ClassifyH2P(static, dynamics, dynpred.H2POptions{MinExecuted: req.H2PMinExecuted})
-	if err != nil {
-		return nil, err
-	}
-
 	res := &CompareResult{
 		Name:            req.Benchmark,
-		H2P:             h2p,
+		Predictors:      t.Predictors,
+		H2P:             t.H2P,
 		StaticBranches:  len(analysis.Branches),
-		DynamicBranches: run.Profile.Total(),
-		Steps:           run.Steps,
+		DynamicBranches: t.Run.Profile.Total(),
+		Steps:           t.Run.Steps,
 	}
 	if res.Name == "" {
 		res.Name = "<source>"
 	}
-	res.Predictors = append(res.Predictors,
-		toScore(CompareStatic, static), toScore(ComparePerfect, perfect))
-	for _, d := range dynamics {
-		res.Predictors = append(res.Predictors, toScore(d.Name, d.Result))
-	}
-	sort.Slice(res.Predictors, func(i, j int) bool {
-		return res.Predictors[i].Name < res.Predictors[j].Name
-	})
 	s.met.observeCompare(res)
 	return res, nil
+}
+
+// TournamentResult is one scored static-vs-dynamic race.
+type TournamentResult struct {
+	// Predictors holds one score per entrant — the static pair
+	// (CompareStatic, ComparePerfect) plus each dynamic backend —
+	// sorted by name.
+	Predictors []PredictorScore
+	// H2P classifies the contested branches.
+	H2P dynpred.H2P
+	// Run is the scored execution.
+	Run *interp.Result
+}
+
+// Tournament is the one static-vs-dynamic scorer behind
+// Service.Compare, ballarus.CompareCtx and the evaluator's DynPred
+// table. It executes analysis.Prog once under cfg, streaming every
+// branch event into the named dynamic backends (cfg.OnEvent is
+// replaced), scores preds and the perfect static predictor from the
+// run's edge profile, and classifies the hard-to-predict branches
+// (h2pMinExec 0 = the dynpred default). Unknown backend names and run
+// errors are returned unwrapped.
+func Tournament(analysis *core.Analysis, preds []core.Prediction, backends []string, h2pMinExec int64, cfg interp.Config) (*TournamentResult, error) {
+	tour, err := dynpred.NewTournament(len(analysis.Branches), backends)
+	if err != nil {
+		return nil, err
+	}
+	cfg.OnEvent = tour.Observe
+	run, err := interp.Run(analysis.Prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	static := dynpred.StaticResult(run.Profile, trace.PredictionVector(preds))
+	perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
+	dynamics := tour.Results()
+	h2p, err := dynpred.ClassifyH2P(static, dynamics, dynpred.H2POptions{MinExecuted: h2pMinExec})
+	if err != nil {
+		return nil, err
+	}
+
+	t := &TournamentResult{H2P: h2p, Run: run}
+	t.Predictors = append(t.Predictors, toScore(CompareStatic, static), toScore(ComparePerfect, perfect))
+	for _, d := range dynamics {
+		t.Predictors = append(t.Predictors, toScore(d.Name, d.Result))
+	}
+	sort.Slice(t.Predictors, func(i, j int) bool {
+		return t.Predictors[i].Name < t.Predictors[j].Name
+	})
+	return t, nil
 }
 
 func toScore(name string, r dynpred.Result) PredictorScore {

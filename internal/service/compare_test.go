@@ -116,17 +116,25 @@ func TestCompareValidation(t *testing.T) {
 
 // TestCompareAgreesWithOfflineReplay is the acceptance check: for every
 // suite benchmark, the served tournament's miss counts must equal an
-// offline replay of the same materialized trace, for every entrant.
+// offline replay of the same materialized trace, for every entrant. The
+// suite totals are pinned too, so a change to the scorer or to any
+// predictor shows up here.
 func TestCompareAgreesWithOfflineReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite comparison in -short mode")
 	}
 	s := New()
 	ctx := context.Background()
+	var events int64
+	misses := map[string]int64{}
 	for _, b := range suite.All() {
 		res, err := s.Compare(ctx, CompareRequest{Request: Request{Benchmark: b.Name}})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
+		}
+		events += res.DynamicBranches
+		for _, p := range res.Predictors {
+			misses[p.Name] += p.Misses
 		}
 
 		// Offline: compile, run with a materialized trace, replay each
@@ -160,6 +168,21 @@ func TestCompareAgreesWithOfflineReplay(t *testing.T) {
 		if got := res.Score(ComparePerfect); got.Misses != perfect.Miss {
 			t.Errorf("%s/perfect: served %d misses, offline %d", b.Name, got.Misses, perfect.Miss)
 		}
+	}
+	if events != 2590633 {
+		t.Errorf("suite branch events = %d, want 2590633", events)
+	}
+	want := map[string]int64{
+		CompareStatic:       572607,
+		ComparePerfect:      233544,
+		dynpred.NameOneBit:  338939,
+		dynpred.NameTwoBit:  241313,
+		dynpred.NameBimodal: 241313,
+		dynpred.NameGshare:  138089,
+		dynpred.NameTAGE:    87067,
+	}
+	if !reflect.DeepEqual(misses, want) {
+		t.Errorf("suite misses = %v, want %v", misses, want)
 	}
 }
 
