@@ -1,6 +1,8 @@
 // Package eval is the reproduction harness: it runs the benchmark suite
 // under the interpreter, joins edge profiles with the static analysis, and
-// regenerates every table (1-7) and graph (1-13) of the paper.
+// regenerates every table (1-7) and graph (1-13) of the paper. Every
+// walk over the suite fans out across all cores; each benchmark writes
+// its own result slot, so the output is the same whatever the schedule.
 package eval
 
 import (
@@ -35,10 +37,11 @@ type Run struct {
 type Evaluator struct {
 	Opts core.Options
 
-	mu       sync.Mutex
 	analyses sync.Map // benchmark name -> *analysisEntry
-	runs     map[string]*Run
-	sweep    *orders.Sweep
+	runs     sync.Map // runKey -> *runEntry
+
+	mu    sync.Mutex // guards sweep
+	sweep *orders.Sweep
 }
 
 // analysisEntry memoizes one benchmark's analysis; the Once means
@@ -50,9 +53,24 @@ type analysisEntry struct {
 	err  error
 }
 
+// runKey names one cached run.
+type runKey struct {
+	bench  string
+	ds     int
+	traced bool
+}
+
+// runEntry memoizes one run the way analysisEntry memoizes an
+// analysis, so concurrent fan-outs execute each run once.
+type runEntry struct {
+	once sync.Once
+	r    *Run
+	err  error
+}
+
 // New creates an evaluator with paper-faithful options.
 func New() *Evaluator {
-	return &Evaluator{runs: map[string]*Run{}}
+	return &Evaluator{}
 }
 
 // Analysis returns the (cached) static analysis for a benchmark.
@@ -73,19 +91,20 @@ func (e *Evaluator) Analysis(b *suite.Benchmark) (*core.Analysis, error) {
 // Run executes benchmark b on dataset index ds (cached). When traced is
 // true the event trace is collected (needed for the Section 6 graphs).
 func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
-	key := fmt.Sprintf("%s/%d/%v", b.Name, ds, traced)
-	e.mu.Lock()
-	if r, ok := e.runs[key]; ok {
-		e.mu.Unlock()
-		return r, nil
+	if ds < 0 || ds >= len(b.Data) {
+		return nil, fmt.Errorf("eval: %s has no dataset %d", b.Name, ds)
 	}
-	e.mu.Unlock()
+	ei, _ := e.runs.LoadOrStore(runKey{b.Name, ds, traced}, &runEntry{})
+	ent := ei.(*runEntry)
+	ent.once.Do(func() { ent.r, ent.err = e.run(b, ds, traced) })
+	return ent.r, ent.err
+}
+
+// run executes one uncached run.
+func (e *Evaluator) run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
 	a, err := e.Analysis(b)
 	if err != nil {
 		return nil, err
-	}
-	if ds < 0 || ds >= len(b.Data) {
-		return nil, fmt.Errorf("eval: %s has no dataset %d", b.Name, ds)
 	}
 	res, err := interp.Run(a.Prog, interp.Config{
 		Input:         b.Data[ds].Input,
@@ -95,7 +114,7 @@ func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s/%s: %w", b.Name, b.Data[ds].Name, err)
 	}
-	r := &Run{
+	return &Run{
 		Bench:    b,
 		Dataset:  b.Data[ds],
 		Prog:     a.Prog,
@@ -105,11 +124,7 @@ func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
 		Output:   res.Output,
 		Events:   res.Events,
 		TailLen:  res.TailLen,
-	}
-	e.mu.Lock()
-	e.runs[key] = r
-	e.mu.Unlock()
-	return r, nil
+	}, nil
 }
 
 // DefaultRuns executes every benchmark on its default dataset, in suite
@@ -124,7 +139,7 @@ func (e *Evaluator) DefaultRuns() ([]*Run, error) {
 func (e *Evaluator) DefaultRunsCtx(ctx context.Context) ([]*Run, error) {
 	benches := suite.All()
 	runs := make([]*Run, len(benches))
-	err := service.Fan(ctx, runtime.GOMAXPROCS(0), len(benches), func(ctx context.Context, i int) error {
+	err := fan(ctx, len(benches), func(i int) error {
 		var err error
 		runs[i], err = e.Run(benches[i], 0, false)
 		return err
@@ -133,6 +148,15 @@ func (e *Evaluator) DefaultRunsCtx(ctx context.Context) ([]*Run, error) {
 		return nil, err
 	}
 	return runs, nil
+}
+
+// fan calls fn(i) for every i in [0,n) on one worker per core; the first
+// error (or ctx expiry) cancels the rest. Each call writes only its own
+// slot i, so results stay in suite order whatever the schedule.
+func fan(ctx context.Context, n int, fn func(i int) error) error {
+	return service.Fan(ctx, runtime.GOMAXPROCS(0), n, func(_ context.Context, i int) error {
+		return fn(i)
+	})
 }
 
 // ---- Per-run metric computations ----

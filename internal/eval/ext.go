@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"ballarus/internal/core"
@@ -25,11 +26,13 @@ type FreqRow struct {
 // without running the program (the application Wall evaluated with
 // "poor results" for his estimators)?
 func (e *Evaluator) FreqQuality() ([]FreqRow, error) {
-	var rows []FreqRow
-	for _, b := range suite.All() {
+	benches := suite.All()
+	rows := make([]FreqRow, len(benches))
+	err := fan(context.Background(), len(benches), func(i int) error {
+		b := benches[i]
 		a, err := e.Analysis(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := interp.Run(a.Prog, interp.Config{
 			Input:              b.Data[0].Input,
@@ -37,15 +40,19 @@ func (e *Evaluator) FreqQuality() ([]FreqRow, error) {
 			CollectInstrCounts: true,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("eval: freq %s: %w", b.Name, err)
+			return fmt.Errorf("eval: freq %s: %w", b.Name, err)
 		}
 		act := freq.Actual(a, res.InstrCounts)
-		rows = append(rows, FreqRow{
+		rows[i] = FreqRow{
 			Name:      b.Name,
 			Estimator: freq.Evaluate(a, freq.Estimate(a, core.DefaultOrder, freq.Options{}), act),
 			Uniform:   freq.Evaluate(a, freq.Uniform(a), act),
 			Random:    freq.Evaluate(a, freq.Random(a), act),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -90,22 +97,26 @@ type CrossProfileRow struct {
 // CrossProfile runs the comparison for every benchmark with at least two
 // datasets: train on dataset 0, test on dataset 1.
 func (e *Evaluator) CrossProfile() ([]CrossProfileRow, error) {
-	var rows []CrossProfileRow
+	var benches []*suite.Benchmark
 	for _, b := range suite.All() {
-		if len(b.Data) < 2 {
-			continue
+		if len(b.Data) >= 2 {
+			benches = append(benches, b)
 		}
+	}
+	rows := make([]CrossProfileRow, len(benches))
+	err := fan(context.Background(), len(benches), func(i int) error {
+		b := benches[i]
 		a, err := e.Analysis(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		train, err := e.Run(b, 0, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		test, err := e.Run(b, 1, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Profile-based static predictions from the training run.
 		crossPreds := make([]core.Prediction, len(a.Branches))
@@ -118,12 +129,16 @@ func (e *Evaluator) CrossProfile() ([]CrossProfileRow, error) {
 		}
 		prog := test.AllMissRate(a.Predictions(core.DefaultOrder))
 		cross := test.AllMissRate(crossPreds)
-		rows = append(rows, CrossProfileRow{
+		rows[i] = CrossProfileRow{
 			Name:        b.Name,
 			ProgramMiss: prog.Pred,
 			CrossMiss:   cross.Pred,
 			SelfMiss:    cross.Perfect,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -183,30 +198,35 @@ func (e *Evaluator) DynPred() ([]DynPredRow, error) {
 	for i, be := range dynRowBackends {
 		backends[i] = be.name
 	}
-	var rows []DynPredRow
-	for _, b := range suite.All() {
+	benches := suite.All()
+	rows := make([]DynPredRow, len(benches))
+	err := fan(context.Background(), len(benches), func(i int) error {
+		b := benches[i]
 		a, err := e.Analysis(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t, err := service.Tournament(a, a.Predictions(core.DefaultOrder), backends, 0,
 			interp.Config{Input: b.Data[0].Input, Budget: b.Budget})
 		if err != nil {
-			return nil, fmt.Errorf("eval: %s/%s: %w", b.Name, b.Data[0].Name, err)
+			return fmt.Errorf("eval: %s/%s: %w", b.Name, b.Data[0].Name, err)
 		}
 		rate := map[string]float64{}
 		for _, p := range t.Predictors {
 			rate[p.Name] = p.MissRatePct
 		}
-		row := DynPredRow{
+		rows[i] = DynPredRow{
 			Name:    b.Name,
 			Heur:    rate[service.CompareStatic],
 			Perfect: rate[service.ComparePerfect],
 		}
 		for _, be := range dynRowBackends {
-			*be.field(&row) = rate[be.name]
+			*be.field(&rows[i]) = rate[be.name]
 		}
-		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -219,67 +239,75 @@ func (e *Evaluator) DynPredTable() (string, error) {
 	}
 	t := newTable("Extension: static vs dynamic hardware predictors (miss %)")
 	t.row("Program", "BallLarus", "PerfectStatic", "1-bit", "2-bit", "Bimodal", "Gshare", "TAGE")
-	cols := make([][]float64, 7)
 	for _, r := range rows {
-		vals := []float64{r.Heur, r.Perfect, r.OneBit, r.TwoBit, r.Bimodal, r.Gshare, r.Tage}
-		cells := []string{r.Name}
-		for i, v := range vals {
-			cells = append(cells, fmt.Sprintf("%.1f", v))
-			cols[i] = append(cols[i], v)
-		}
-		t.row(cells...)
+		t.missRow(r.Name, r.Heur, r.Perfect, r.OneBit, r.TwoBit, r.Bimodal, r.Gshare, r.Tage)
 	}
-	mean := []string{"MEAN"}
-	for _, c := range cols {
-		mean = append(mean, fmt.Sprintf("%.1f", stats.Mean(c)))
-	}
-	t.row(mean...)
+	t.meanRow()
 	return t.String(), nil
+}
+
+// AblationRow is one benchmark's all-branch miss % under the
+// Ball-Larus predictor, its alternatives, and its analysis ablations.
+type AblationRow struct {
+	Name      string
+	BallLarus float64 // the paper's priority order
+	Voting    float64 // weighted-vote combiner
+	BTFNT     float64 // backward taken, forward not taken
+	LoopRand  float64 // loop predictor, random elsewhere
+	NoPostdom float64 // analysis without the postdominator checks
+	DeepGuard float64 // analysis with guard depth 3
+}
+
+// Ablation computes the ablation rows from the cached default runs. The
+// NoPostdom and DeepGuard columns re-analyze each run's program and join
+// the result with that run's profile: the options change predictions,
+// never execution.
+func (e *Evaluator) Ablation() ([]AblationRow, error) {
+	runs, err := e.DefaultRuns()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(runs))
+	err = fan(context.Background(), len(runs), func(i int) error {
+		r := runs[i]
+		loose, err := core.Analyze(r.Prog, core.Options{NoPostdom: true})
+		if err != nil {
+			return err
+		}
+		deep, err := core.Analyze(r.Prog, core.Options{GuardDepth: 3})
+		if err != nil {
+			return err
+		}
+		miss := func(preds []core.Prediction) float64 { return r.AllMissRate(preds).Pred }
+		rows[i] = AblationRow{
+			Name:      r.Bench.Name,
+			BallLarus: miss(r.Analysis.Predictions(core.DefaultOrder)),
+			Voting:    miss(r.Analysis.VotePredictions(core.DefaultWeights)),
+			BTFNT:     miss(r.Analysis.BTFNTPredictions()),
+			LoopRand:  miss(r.Analysis.LoopRandPredictions()),
+			NoPostdom: miss(loose.Predictions(core.DefaultOrder)),
+			DeepGuard: miss(deep.Predictions(core.DefaultOrder)),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // AblationTable renders the DESIGN.md ablations as one table: the
 // Ball-Larus predictor vs BTFNT, and strict vs NoPostdom analysis.
 func (e *Evaluator) AblationTable() (string, error) {
-	runs, err := e.DefaultRuns()
+	rows, err := e.Ablation()
 	if err != nil {
 		return "", err
 	}
-	loose := New()
-	loose.Opts = core.Options{NoPostdom: true}
-	deep := New()
-	deep.Opts = core.Options{GuardDepth: 3}
 	t := newTable("Extension: ablations and alternative combiner (all-branch miss %)")
 	t.row("Program", "BallLarus", "Voting", "BTFNT", "Loop+Rand", "NoPostdom", "DeepGuard")
-	var bl, vt, bt, lr, np, dg []float64
-	for _, r := range runs {
-		blRate := r.AllMissRate(r.Analysis.Predictions(core.DefaultOrder))
-		vtRate := r.AllMissRate(r.Analysis.VotePredictions(core.DefaultWeights))
-		btRate := r.AllMissRate(r.Analysis.BTFNTPredictions())
-		lrRate := r.AllMissRate(r.Analysis.LoopRandPredictions())
-		lRun, err := loose.Run(r.Bench, 0, false)
-		if err != nil {
-			return "", err
-		}
-		npRate := lRun.AllMissRate(lRun.Analysis.Predictions(core.DefaultOrder))
-		dRun, err := deep.Run(r.Bench, 0, false)
-		if err != nil {
-			return "", err
-		}
-		dgRate := dRun.AllMissRate(dRun.Analysis.Predictions(core.DefaultOrder))
-		t.row(r.Bench.Name,
-			fmt.Sprintf("%.1f", blRate.Pred), fmt.Sprintf("%.1f", vtRate.Pred),
-			fmt.Sprintf("%.1f", btRate.Pred), fmt.Sprintf("%.1f", lrRate.Pred),
-			fmt.Sprintf("%.1f", npRate.Pred), fmt.Sprintf("%.1f", dgRate.Pred))
-		bl = append(bl, blRate.Pred)
-		vt = append(vt, vtRate.Pred)
-		bt = append(bt, btRate.Pred)
-		lr = append(lr, lrRate.Pred)
-		np = append(np, npRate.Pred)
-		dg = append(dg, dgRate.Pred)
+	for _, r := range rows {
+		t.missRow(r.Name, r.BallLarus, r.Voting, r.BTFNT, r.LoopRand, r.NoPostdom, r.DeepGuard)
 	}
-	t.row("MEAN",
-		fmt.Sprintf("%.1f", stats.Mean(bl)), fmt.Sprintf("%.1f", stats.Mean(vt)),
-		fmt.Sprintf("%.1f", stats.Mean(bt)), fmt.Sprintf("%.1f", stats.Mean(lr)),
-		fmt.Sprintf("%.1f", stats.Mean(np)), fmt.Sprintf("%.1f", stats.Mean(dg)))
+	t.meanRow()
 	return t.String(), nil
 }

@@ -1,11 +1,14 @@
 package eval
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ballarus/internal/core"
 	"ballarus/internal/stats"
+	"ballarus/internal/suite"
 )
 
 func TestFreqTable(t *testing.T) {
@@ -77,6 +80,92 @@ func TestAblationTable(t *testing.T) {
 	for _, col := range []string{"BTFNT", "NoPostdom", "Voting", "Loop+Rand"} {
 		if !strings.Contains(tbl, col) {
 			t.Errorf("ablation table missing column %s", col)
+		}
+	}
+}
+
+// TestAblationJoinIsExact: joining a cached run's profile with a
+// re-analysis of its program must give exactly the rates of the old
+// path, a separate evaluator with the ablated options that compiles and
+// runs everything again.
+func TestAblationJoinIsExact(t *testing.T) {
+	rows, err := sharedEval.Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts core.Options
+		col  func(AblationRow) float64
+	}{
+		{"NoPostdom", core.Options{NoPostdom: true}, func(r AblationRow) float64 { return r.NoPostdom }},
+		{"DeepGuard", core.Options{GuardDepth: 3}, func(r AblationRow) float64 { return r.DeepGuard }},
+	} {
+		old := New()
+		old.Opts = c.opts
+		for i, b := range suite.All() {
+			r, err := old.Run(b, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := r.AllMissRate(r.Analysis.Predictions(core.DefaultOrder)).Pred
+			if rows[i].Name != b.Name || c.col(rows[i]) != want {
+				t.Errorf("%s %s: row %s has %v, the separate evaluator %v", c.name, b.Name, rows[i].Name, c.col(rows[i]), want)
+			}
+		}
+	}
+}
+
+// TestExtScheduleIndependent: the fanned-out suite walks must print the
+// same bytes on one core as on several.
+func TestExtScheduleIndependent(t *testing.T) {
+	render := func() []string {
+		e := New()
+		var out []string
+		for _, gen := range []func() (string, error){
+			e.FreqTable, e.CrossProfileTable, e.DynPredTable, e.AblationTable, e.Graph13Rows,
+		} {
+			s, err := gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := render()
+	runtime.GOMAXPROCS(max(4, runtime.NumCPU()))
+	parallel := render()
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("output %d differs between 1 and %d procs:\n%s\nvs\n%s", i, runtime.GOMAXPROCS(0), serial[i], parallel[i])
+		}
+	}
+}
+
+// TestRunSingleFlight: concurrent requests for one run share a single
+// execution.
+func TestRunSingleFlight(t *testing.T) {
+	e := New()
+	b := sharedEvalBench(t)
+	runs := make([]*Run, 8)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = e.Run(b, 0, false)
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if r != runs[0] {
+			t.Errorf("goroutine %d got a different *Run: the run executed more than once", i)
 		}
 	}
 }

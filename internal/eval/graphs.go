@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -240,26 +241,33 @@ func (e *Evaluator) Graph13() (*Graph, error) {
 		XLabel: "dataset index (benchmarks concatenated)",
 		YLabel: "miss %",
 	}
-	var heurPts, perfPts []trace.Point
-	var labels []string
-	x := int64(0)
+	type pair struct {
+		b  *suite.Benchmark
+		ds int
+	}
+	var pairs []pair
 	for _, b := range suite.All() {
-		a, err := e.Analysis(b)
-		if err != nil {
-			return nil, err
-		}
-		preds := a.Predictions(core.DefaultOrder)
 		for ds := range b.Data {
-			r, err := e.Run(b, ds, false)
-			if err != nil {
-				return nil, err
-			}
-			rate := r.AllMissRate(preds)
-			heurPts = append(heurPts, trace.Point{X: x, Y: rate.Pred})
-			perfPts = append(perfPts, trace.Point{X: x, Y: rate.Perfect})
-			labels = append(labels, fmt.Sprintf("%s/%s", b.Name, b.Data[ds].Name))
-			x++
+			pairs = append(pairs, pair{b, ds})
 		}
+	}
+	heurPts := make([]trace.Point, len(pairs))
+	perfPts := make([]trace.Point, len(pairs))
+	labels := make([]string, len(pairs))
+	err := fan(context.Background(), len(pairs), func(i int) error {
+		p := pairs[i]
+		r, err := e.Run(p.b, p.ds, false)
+		if err != nil {
+			return err
+		}
+		rate := r.AllMissRate(r.Analysis.Predictions(core.DefaultOrder))
+		heurPts[i] = trace.Point{X: int64(i), Y: rate.Pred}
+		perfPts[i] = trace.Point{X: int64(i), Y: rate.Perfect}
+		labels[i] = fmt.Sprintf("%s/%s", p.b.Name, p.b.Data[p.ds].Name)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	g.Series = append(g.Series,
 		Series{Name: "Heuristic", Pts: heurPts, Note: strings.Join(labels, ",")},

@@ -14,8 +14,9 @@ import (
 
 // table is a small helper around tabwriter.
 type table struct {
-	b strings.Builder
-	w *tabwriter.Writer
+	b    strings.Builder
+	w    *tabwriter.Writer
+	cols [][]float64 // missRow values per column, for meanRow
 }
 
 func newTable(title string) *table {
@@ -28,6 +29,28 @@ func newTable(title string) *table {
 
 func (t *table) row(cells ...string) {
 	fmt.Fprintln(t.w, strings.Join(cells, "\t"))
+}
+
+// missRow adds a row of miss percentages, one decimal each.
+func (t *table) missRow(name string, vals ...float64) {
+	cells := []string{name}
+	for i, v := range vals {
+		if i == len(t.cols) {
+			t.cols = append(t.cols, nil)
+		}
+		t.cols[i] = append(t.cols[i], v)
+		cells = append(cells, fmt.Sprintf("%.1f", v))
+	}
+	t.row(cells...)
+}
+
+// meanRow adds the MEAN row over every missRow so far.
+func (t *table) meanRow() {
+	cells := []string{"MEAN"}
+	for _, c := range t.cols {
+		cells = append(cells, fmt.Sprintf("%.1f", stats.Mean(c)))
+	}
+	t.row(cells...)
 }
 
 func (t *table) String() string {

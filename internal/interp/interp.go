@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"ballarus/internal/mir"
 	"ballarus/internal/profile"
@@ -18,7 +19,10 @@ import (
 
 // Config controls one execution.
 type Config struct {
-	MemWords      int     // memory size in words; 0 means 1<<21
+	// MemWords is the memory size in words; 0 means 1<<21. Memory comes
+	// from a pool of recycled arenas, but every run still starts with
+	// all of it zero except the program's data segment.
+	MemWords      int
 	Budget        int64   // instruction budget; 0 means 64M
 	Input         []int64 // input stream for readi/readc/readf
 	Seed          int64   // initial rand() seed
@@ -104,6 +108,12 @@ type machine struct {
 	frv float64
 	hp  int64 // heap bump pointer
 
+	// Store watermarks: stores below half raise lo, stores at or above
+	// it lower hi, so mem[:lo] and mem[hi:] hold every word a run can
+	// have made non-zero — the globals and heap at the bottom, the
+	// stack at the top.
+	half, lo, hi int64
+
 	// Per-activation virtual register files live in arenas; calls push a
 	// frame, returns pop it.
 	iarena []int64
@@ -134,8 +144,41 @@ type frameMark struct {
 	proc, pc     int // caller resume point (for diagnostics only)
 }
 
+// workspace is the storage a run needs besides its result: the memory
+// arena and the register-file stacks. Run takes one from the workspaces
+// pool and clears what it wrote before putting it back, so a pooled
+// arena is all zero.
+type workspace struct {
+	mem    []int64
+	iarena []int64
+	farena []float64
+	frames []frameMark
+}
+
+var workspaces sync.Pool // of *workspace
+
+// getWorkspace returns a workspace with an all-zero n-word arena,
+// recycled when the pool holds one of exactly that size.
+func getWorkspace(n int) *workspace {
+	if w, ok := workspaces.Get().(*workspace); ok && len(w.mem) == n {
+		return w
+	}
+	return &workspace{mem: make([]int64, n)}
+}
+
+// putWorkspace zeroes the words the run could have written, keeps the
+// register stacks' capacity, and recycles the workspace.
+func (m *machine) putWorkspace(w *workspace) {
+	clear(m.mem[:m.lo])
+	clear(m.mem[m.hi:])
+	w.iarena, w.farena, w.frames = m.iarena[:0], m.farena[:0], m.frames[:0]
+	workspaces.Put(w)
+}
+
 // Run executes prog under cfg. The returned Result is valid (with partial
-// data) even when err is non-nil.
+// data) even when err is non-nil. Run recycles its memory arena and
+// register stacks on every exit, fault and panic included; the next run
+// still starts zeroed.
 func Run(prog *mir.Program, cfg Config) (*Result, error) {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 21
@@ -144,16 +187,23 @@ func Run(prog *mir.Program, cfg Config) (*Result, error) {
 		cfg.Budget = 64 << 20
 	}
 	set := profile.Index(prog)
+	ws := getWorkspace(cfg.MemWords)
 	m := &machine{
 		prog:    prog,
 		set:     set,
 		cfg:     cfg,
-		mem:     make([]int64, cfg.MemWords),
+		mem:     ws.mem,
+		iarena:  ws.iarena,
+		farena:  ws.farena,
+		frames:  ws.frames,
 		in:      cfg.Input,
 		seed:    cfg.Seed,
 		profile: profile.New(set),
 	}
-	copy(m.mem, prog.Data)
+	m.half = int64(len(m.mem) / 2)
+	m.lo = int64(copy(m.mem, prog.Data))
+	m.hi = int64(len(m.mem))
+	defer m.putWorkspace(ws)
 	// The heap starts just past the globals, but never at address 0: that
 	// is the null pointer, and alloc must never return it.
 	m.hp = int64(len(prog.Data)) + 1
@@ -257,6 +307,19 @@ func (m *machine) addr(base mir.Reg, off int64) (int64, error) {
 		return 0, m.fault("address %d out of range [0,%d)", a, len(m.mem))
 	}
 	return a, nil
+}
+
+// store writes v to the in-range address a, moving the watermark that
+// covers it.
+func (m *machine) store(a, v int64) {
+	if a < m.half {
+		if a >= m.lo {
+			m.lo = a + 1
+		}
+	} else if a < m.hi {
+		m.hi = a
+	}
+	m.mem[a] = v
 }
 
 // pushFrame enters a procedure's register file.
@@ -483,7 +546,7 @@ func (m *machine) run() error {
 			if err != nil {
 				return err
 			}
-			m.mem[a] = m.getI(in.Rt)
+			m.store(a, m.getI(in.Rt))
 		case mir.FLw:
 			a, err := m.addr(in.Rs, in.Imm)
 			if err != nil {
@@ -495,7 +558,7 @@ func (m *machine) run() error {
 			if err != nil {
 				return err
 			}
-			m.mem[a] = int64(math.Float64bits(m.getF(in.Rt)))
+			m.store(a, int64(math.Float64bits(m.getF(in.Rt))))
 		case mir.Beq, mir.Bne, mir.Bltz, mir.Blez, mir.Bgtz, mir.Bgez,
 			mir.FBeq, mir.FBne, mir.FBlt, mir.FBle, mir.FBgt, mir.FBge:
 			taken := m.evalBranch(in)
