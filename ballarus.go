@@ -465,10 +465,6 @@ var (
 	// WithTracer replaces the service's request tracer (the ring buffer
 	// behind blserve's /debug/traces).
 	WithTracer = service.WithTracer
-	// WithShardRunner enables the shard stage (Service.Shard, blserve's
-	// POST /v1/shard): batch-job shards execute through the given runner,
-	// content-addressed and breaker-guarded like every other stage.
-	WithShardRunner = service.WithShardRunner
 	// WithTenants enables multi-tenant admission: per-tenant token-bucket
 	// quotas and fairness-aware shedding against the given registry.
 	WithTenants = service.WithTenants
@@ -513,14 +509,6 @@ func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegi
 // to the given tenant (the programmatic analogue of the X-Tenant-Id
 // header). An empty id means the default tenant.
 func TenantContext(ctx context.Context, id string) context.Context { return tenant.WithID(ctx, id) }
-
-// ShardRunner executes one opaque experiment-shard payload; the
-// concrete implementation is internal/jobs.Runner.RunShardPayload.
-type ShardRunner = service.ShardRunner
-
-// ShardOutcome is Service.Shard's result: the runner's response payload
-// plus the request's cache outcome.
-type ShardOutcome = service.ShardOutcome
 
 // ---- Observability ----
 

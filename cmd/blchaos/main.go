@@ -21,14 +21,6 @@
 // only its ~1/N slice of the key space while surviving keys stay
 // cache-warm on their owners.
 //
-// With -jobs it drives the distributed-jobs scenario: a job
-// coordinator (blserve -jobs) dispatching the Section 5 ordering
-// experiments through a real blgate to two replicas. One replica is
-// SIGKILLed mid-job and the coordinator is SIGKILLed and restarted
-// mid-job — asserting the job resumes from its journal, re-runs only
-// the unfinished shards, and produces results bit-identical to a
-// single-process run with the exact trial count.
-//
 // Usage:
 //
 //	blchaos [-bin PATH] [-seed 1] [-duration 30s] [-hit-floor 0.5]
@@ -36,12 +28,11 @@
 //	blchaos -cluster [-bin PATH] [-gate-bin PATH] [-replicas 3]
 //	        [-seed 1] [-duration 30s] [-v]
 //	blchaos -tenants [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
-//	blchaos -jobs [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
 //
-// With no -bin (or -gate-bin in cluster mode), blchaos builds the
-// binaries from the enclosing module. The JSON report goes to stdout;
-// the exit status is non-zero when any invariant was violated. A
-// failing schedule replays with its -seed.
+// With no -bin (or -gate-bin with -cluster or -tenants), blchaos builds
+// the missing binaries from the enclosing module. The JSON report goes
+// to stdout; the exit status is non-zero when any invariant was
+// violated. A failing schedule replays with its -seed.
 package main
 
 import (
@@ -63,9 +54,8 @@ func main() {
 	hitFloor := flag.Float64("hit-floor", 0.5, "minimum warm-hit fraction required after a restart")
 	stateDir := flag.String("state-dir", "", "server state directory (default: a temp dir, removed afterwards)")
 	clusterMode := flag.Bool("cluster", false, "run the gateway cluster scenario instead of the durability soak")
-	jobsMode := flag.Bool("jobs", false, "run the distributed-jobs scenario instead of the durability soak")
 	tenantsMode := flag.Bool("tenants", false, "run the multi-tenant fairness scenario instead of the durability soak")
-	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-jobs (default: build cmd/blgate)")
+	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-tenants (default: build cmd/blgate)")
 	replicas := flag.Int("replicas", 3, "cluster size for -cluster")
 	verbose := flag.Bool("v", false, "narrate the schedule and forward server stderr")
 	flag.Parse()
@@ -77,18 +67,19 @@ func main() {
 	if *verbose {
 		logw = os.Stderr
 	}
-	if *bin == "" {
+	needGate := (*clusterMode || *tenantsMode) && *gateBin == ""
+	if *bin == "" || needGate {
 		dir, err := os.MkdirTemp("", "blchaos-bin-*")
 		if err != nil {
 			cli.Exit("blchaos", err)
 		}
 		defer os.RemoveAll(dir)
-		built, err := chaos.BuildServe(dir)
-		if err != nil {
-			cli.Exit("blchaos", err)
+		if *bin == "" {
+			if *bin, err = chaos.BuildServe(dir); err != nil {
+				cli.Exit("blchaos", err)
+			}
 		}
-		*bin = built
-		if (*clusterMode || *jobsMode || *tenantsMode) && *gateBin == "" {
+		if needGate {
 			if *gateBin, err = chaos.BuildGate(dir); err != nil {
 				cli.Exit("blchaos", err)
 			}
@@ -96,16 +87,6 @@ func main() {
 	}
 
 	if *tenantsMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
 		rep, err := chaos.RunTenants(ctx, chaos.TenantsConfig{
 			ServeBin: *bin,
 			GateBin:  *gateBin,
@@ -119,41 +100,7 @@ func main() {
 		return
 	}
 
-	if *jobsMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
-		rep, err := chaos.RunJobs(ctx, chaos.JobsConfig{
-			ServeBin: *bin,
-			GateBin:  *gateBin,
-			Seed:     *seed,
-			Log:      logw,
-		})
-		report(rep, err, rep == nil || len(rep.Violations) > 0, *seed)
-		fmt.Fprintf(os.Stderr, "blchaos: clean jobs run: %d+%d shards, %d recovered + %d re-run, %d trials, %d kills, %d restart(s)\n",
-			rep.SweepShards, rep.SubsetShards, rep.RecoveredShards, rep.RerunShards,
-			rep.Trials, rep.ReplicaKills+rep.CoordinatorKills, rep.Restarts)
-		return
-	}
-
 	if *clusterMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
 		rep, err := chaos.RunCluster(ctx, chaos.ClusterConfig{
 			ServeBin: *bin,
 			GateBin:  *gateBin,

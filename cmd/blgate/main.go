@@ -21,7 +21,7 @@
 //	       [-trace-slow 250ms]
 //	       [-log-level info] [-log-format text]
 //
-// -routing rendezvous shards requests across replicas by that same
+// -routing rendezvous partitions requests across replicas by that same
 // request key (rendezvous hashing), so each replica's caches
 // specialize on a stable slice of the key space; when a replica dies
 // only its ~1/N of keys move, and they move back when it recovers.
@@ -35,8 +35,6 @@
 //	POST /v1/predict     hedged, budgeted, deadline-bounded proxying
 //	POST /v1/compare     same treatment — the tournament is idempotent
 //	POST /v1/batch       same treatment — batches are per-item idempotent
-//	POST /v1/shard       same treatment — job shards are idempotent, so
-//	                     coordinators dispatch through the gateway
 //	GET  /v1/stats       passthrough to one routable replica
 //	GET  /healthz        200 while at least one replica is routable
 //	GET  /gateway/stats  per-replica health, ejections, budget, cache

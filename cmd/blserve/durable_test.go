@@ -83,7 +83,8 @@ func TestTimeoutRetryAfter(t *testing.T) {
 // warm-set replay rewarms the caches degraded answers come from, so a
 // brand-new process serves a degraded answer for a request only the
 // dead process ever computed. A snapshot from a release that still had
-// a "stale" response section boots too, its entries skipped.
+// a "stale" response section or a "jobs" coordinator section boots too,
+// those entries skipped.
 func TestServerDurableRoundTrip(t *testing.T) {
 	defer resilience.ClearFaults()
 	dir := t.TempDir()
@@ -102,6 +103,11 @@ func TestServerDurableRoundTrip(t *testing.T) {
 			return []ballarus.DurableEntry{{Key: "old", Payload: []byte(`{"name":"<source>"}`)}}
 		},
 	})
+	svc1.RegisterDurableSection("jobs", ballarus.DurableSection{
+		Collect: func() []ballarus.DurableEntry {
+			return []ballarus.DurableEntry{{Key: "j84cb0123abcd", Payload: []byte(`{"spec":{"kind":"subsets"},"state":"done"}`)}}
+		},
+	})
 	if err := svc1.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +124,8 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Warmed < 1 || rs.SnapshotEntries < 1 || rs.SnapshotSkipped != 1 {
-		t.Fatalf("recovery stats %+v, want a warmed recipe and the stale entry skipped", rs)
+	if rs.Warmed < 1 || rs.SnapshotEntries < 1 || rs.SnapshotSkipped != 2 {
+		t.Fatalf("recovery stats %+v, want a warmed recipe and the stale and jobs entries skipped", rs)
 	}
 	ts2 := httptest.NewServer(app.handler(false))
 	defer ts2.Close()

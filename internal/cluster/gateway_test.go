@@ -21,11 +21,11 @@ type fakeReplica struct {
 	id      string
 	predict atomic.Value // func(w http.ResponseWriter, r *http.Request)
 	compare atomic.Value // func(w http.ResponseWriter, r *http.Request)
-	shard   atomic.Value // func(w http.ResponseWriter, r *http.Request)
+	batch   atomic.Value // func(w http.ResponseWriter, r *http.Request)
 	healthy atomic.Bool
 	hits    atomic.Int64
 	cmpHits atomic.Int64
-	shdHits atomic.Int64
+	batHits atomic.Int64
 }
 
 // okPredict answers like a healthy blserve.
@@ -46,13 +46,13 @@ func okCompare(id string) func(http.ResponseWriter, *http.Request) {
 	}
 }
 
-// okShard answers a shard request the way a replica's shard stage does:
-// a JSON result carrying the shard identity.
-func okShard(id string) func(http.ResponseWriter, *http.Request) {
+// okBatch answers a batch request the way blserve's /v1/batch does:
+// one result per item.
+func okBatch(id string) func(http.ResponseWriter, *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Instance-Id", id)
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"job_hash":"fake","lo":0,"hi":1,"trials":1}`)
+		fmt.Fprintf(w, `{"results":[{"status":200,"predict":{"name":"fake-batch"}}]}`)
 	}
 }
 
@@ -61,7 +61,7 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 	f := &fakeReplica{id: id}
 	f.predict.Store(okPredict(id))
 	f.compare.Store(okCompare(id))
-	f.shard.Store(okShard(id))
+	f.batch.Store(okBatch(id))
 	f.healthy.Store(true)
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -77,9 +77,9 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 		case "/v1/compare":
 			f.cmpHits.Add(1)
 			f.compare.Load().(func(http.ResponseWriter, *http.Request))(w, r)
-		case "/v1/shard":
-			f.shdHits.Add(1)
-			f.shard.Load().(func(http.ResponseWriter, *http.Request))(w, r)
+		case "/v1/batch":
+			f.batHits.Add(1)
+			f.batch.Load().(func(http.ResponseWriter, *http.Request))(w, r)
 		case "/v1/stats":
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintf(w, `{"replica":%q}`, f.id)
@@ -153,6 +153,34 @@ func TestGatewayProxiesPredict(t *testing.T) {
 	var out map[string]any
 	if err := json.Unmarshal(data, &out); err != nil || out["name"] != "fake" {
 		t.Fatalf("body %s not relayed (err %v)", data, err)
+	}
+}
+
+// TestGatewayProxiesBatch: /v1/batch rides the same idempotent-POST
+// path as predict and compare, and reaches the replicas on its own
+// route.
+func TestGatewayProxiesBatch(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	_, ts := newTestGateway(t, Config{}, a, b)
+
+	resp, data := postPath(t, ts.URL, "/v1/batch", `{"items":[{"predict":{"benchmark":"xlisp"}}]}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (body %s)", resp.StatusCode, data)
+	}
+	var out struct {
+		Results []struct {
+			Predict map[string]any `json:"predict"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil || len(out.Results) != 1 || out.Results[0].Predict["name"] != "fake-batch" {
+		t.Fatalf("body %s not relayed (err %v)", data, err)
+	}
+	if a.batHits.Load()+b.batHits.Load() == 0 {
+		t.Fatal("no replica saw the batch request")
+	}
+	if a.hits.Load()+b.hits.Load()+a.cmpHits.Load()+b.cmpHits.Load() != 0 {
+		t.Fatal("batch request leaked onto /v1/predict or /v1/compare")
 	}
 }
 

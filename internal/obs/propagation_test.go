@@ -264,3 +264,39 @@ func TestExemplarAbsentWhenNoneRecorded(t *testing.T) {
 		t.Fatalf("exemplar family rendered with no exemplars:\n%s", b.String())
 	}
 }
+
+// FuzzParseTraceHeader: no input panics the parser, and every accepted
+// header names a valid span context with lowercase IDs that renders back
+// to the trimmed input and parses back to itself.
+func FuzzParseTraceHeader(f *testing.F) {
+	for _, s := range []string{
+		"00-0123456789abcdef-fedcba9876543210-01",      // valid
+		"00-0000000000000000-0000000000000000-00",      // all-zero IDs
+		"00-0123456789ABCDEF-FEDCBA9876543210-01",      // uppercase hex
+		"ff-0123456789abcdef-fedcba9876543210-01",      // unknown version
+		"00-0123456789abcdef-fedcba9876543210",         // 3 parts
+		"00-0123456789abcdef-fedcba9876543210-01-01",   // 5 parts
+		" \t00-0123456789abcdef-fedcba9876543210-01\n", // whitespace-padded
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceHeader(s)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, sc)
+			}
+			return
+		}
+		if !sc.Valid() || !idRe.MatchString(sc.TraceID) || !idRe.MatchString(sc.SpanID) {
+			t.Fatalf("accepted %q as invalid or non-canonical %+v", s, sc)
+		}
+		h := sc.Header()
+		if h != strings.TrimSpace(s) {
+			t.Fatalf("accepted %q renders as %q", s, h)
+		}
+		if got, ok := ParseTraceHeader(h); !ok || got != sc {
+			t.Fatalf("%q re-parses to %+v ok=%v, want %+v", h, got, ok, sc)
+		}
+	})
+}

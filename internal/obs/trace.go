@@ -228,9 +228,9 @@ type Active struct {
 
 // ContextWithRemote attaches a remote parent span context to ctx.
 // Tracer.Start adopts it (same trace ID, parented at the remote span),
-// and SpanContextFrom returns it when no local trace is active — which
-// is how a job coordinator carries the submitting request's identity
-// into shard executions long after that request finished.
+// and SpanContextFrom returns it when no local trace is active. The
+// HTTP edges of blserve and blgate attach the parsed Traceparent header
+// this way.
 func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx

@@ -144,7 +144,7 @@ func checkAgainstFullScan(t *testing.T, s *Sweep, k int, cuts []int, trials int,
 }
 
 func TestContendersMatchFullScanShardBenches(t *testing.T) {
-	s := NewSweep(shardTestBenches(8))
+	s := mustSweep(t, shardTestBenches(8))
 	t.Logf("%d of %d orders are contenders", len(s.contenders()), NumOrders)
 	for k := 0; k <= 8; k++ {
 		checkAgainstFullScan(t, s, k, []int{3, 4, 9}, 500, int64(k))

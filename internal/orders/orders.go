@@ -18,11 +18,12 @@
 //
 // Both experiments decompose into contiguous shards — order-index ranges
 // for the sweep, low-mask ranges for the subset experiment — that merge
-// back bit-identically to the single-process result. ShardOrders and
-// ShardMasks carve the spaces; SweepRange and SubsetScorer.Range evaluate
-// one shard; MergeSubsetResults recombines. The single-process entry
-// points are thin parallel drivers over the same shard primitives, so a
-// distributed run and a local run share one code path.
+// back bit-identically to a serial run. ShardOrders and ShardMasks carve
+// the spaces; SweepRange and SubsetScorer.Range evaluate one shard;
+// MergeSubsetResults recombines. NewSweepCtx hands each core one order
+// range through SweepRange, and SubsetsOpts deals low masks to the cores
+// and merges their counts with MergeSubsetResults, so neither result
+// depends on the core count.
 package orders
 
 import (
@@ -122,9 +123,9 @@ var (
 )
 
 // All enumerates every order, lexicographically over heuristic IDs. The
-// sequence is deterministic so order indices are stable and canonical
-// across processes — the property the distributed sweep's shard merge
-// relies on. The returned slice is a fresh copy each call.
+// sequence is deterministic so order indices are stable and canonical —
+// the property the sweep's shard merge relies on. The returned slice is
+// a fresh copy each call.
 func All() []core.Order {
 	allOnce.Do(func() {
 		perms := make([]core.Order, 0, NumOrders)
@@ -270,14 +271,6 @@ func NewSweepCtx(ctx context.Context, benches []*BenchData) (*Sweep, error) {
 		}
 	}
 	return s, nil
-}
-
-// NewSweep evaluates every order on every benchmark.
-//
-// Deprecated: use NewSweepCtx, which supports cancellation.
-func NewSweep(benches []*BenchData) *Sweep {
-	s, _ := NewSweepCtx(context.Background(), benches)
-	return s
 }
 
 // Avg returns each order's average miss rate over the benchmarks whose
@@ -563,15 +556,6 @@ func (s *Sweep) SubsetsCtx(ctx context.Context, k int) (*SubsetResult, error) {
 	return s.SubsetsOpts(ctx, k, SubsetOpts{})
 }
 
-// Subsets runs the experiment exactly over every k-subset of the sweep's
-// benchmarks.
-//
-// Deprecated: use SubsetsCtx, which supports cancellation and progress.
-func (s *Sweep) Subsets(k int) *SubsetResult {
-	res, _ := s.SubsetsCtx(context.Background(), k)
-	return res
-}
-
 // buildHalf precomputes, for every subset mask of benches
 // [base, base+width), each contender's sum of miss rates.
 func buildHalf(s *Sweep, cand []int, base, width int) [][]float64 {
@@ -637,14 +621,6 @@ func (s *Sweep) SubsetsSampledOpts(ctx context.Context, k, trials int, seed int6
 // SubsetsSampledCtx runs the sampled experiment with default options.
 func (s *Sweep) SubsetsSampledCtx(ctx context.Context, k, trials int, seed int64) (*SubsetResult, error) {
 	return s.SubsetsSampledOpts(ctx, k, trials, seed, SubsetOpts{})
-}
-
-// SubsetsSampled runs the experiment over `trials` random k-subsets.
-//
-// Deprecated: use SubsetsSampledCtx, which supports cancellation.
-func (s *Sweep) SubsetsSampled(k, trials int, seed int64) *SubsetResult {
-	res, _ := s.SubsetsSampledCtx(context.Background(), k, trials, seed)
-	return res
 }
 
 // masksWithPopcount enumerates all masks over `width` bits with exactly

@@ -153,12 +153,22 @@ func syntheticBench(name string, perHeurMiss [core.NumHeuristics]int64) *BenchDa
 	return d
 }
 
+// mustSweep evaluates every order on every benchmark, failing t on error.
+func mustSweep(t testing.TB, benches []*BenchData) *Sweep {
+	t.Helper()
+	s, err := NewSweepCtx(context.Background(), benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSweepAndBestOrder(t *testing.T) {
 	// Benchmark where every heuristic has its own branch population; the
 	// miss rate is the same under every order (no overlap), so the sweep
 	// must be flat.
 	flat := syntheticBench("flat", [core.NumHeuristics]int64{10, 10, 10, 10, 10, 10, 10})
-	s := NewSweep([]*BenchData{flat})
+	s := mustSweep(t, []*BenchData{flat})
 	avg := s.Avg(nil)
 	for _, v := range avg {
 		if math.Abs(v-10) > 1e-9 {
@@ -172,7 +182,7 @@ func TestSweepAndBestOrder(t *testing.T) {
 	d.Dyn[mask] = 100
 	d.Miss[mask][core.Opcode] = 0
 	d.Miss[mask][core.Guard] = 100
-	s2 := NewSweep([]*BenchData{d})
+	s2 := mustSweep(t, []*BenchData{d})
 	best := s2.BestOrder(nil)
 	o := s2.Orders[best]
 	for _, h := range o {
@@ -202,8 +212,11 @@ func TestSubsetsExactSmall(t *testing.T) {
 	for i, m := range misses {
 		benches = append(benches, syntheticBench(string(rune('a'+i)), m))
 	}
-	s := NewSweep(benches)
-	res := s.Subsets(2)
+	s := mustSweep(t, benches)
+	res, err := s.SubsetsCtx(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Trials != 6 {
 		t.Fatalf("trials %d, want 6", res.Trials)
 	}
@@ -236,9 +249,15 @@ func TestSubsetsSampledDeterministic(t *testing.T) {
 		syntheticBench("b", [core.NumHeuristics]int64{60, 50, 40, 30, 20, 10, 0}),
 		syntheticBench("c", [core.NumHeuristics]int64{5, 5, 5, 5, 5, 5, 5}),
 	}
-	s := NewSweep(benches)
-	r1 := s.SubsetsSampled(2, 100, 42)
-	r2 := s.SubsetsSampled(2, 100, 42)
+	s := mustSweep(t, benches)
+	r1, err := s.SubsetsSampledCtx(context.Background(), 2, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.SubsetsSampledCtx(context.Background(), 2, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r1.Trials != 100 || r2.Trials != 100 {
 		t.Fatal("wrong trial count")
 	}
@@ -384,7 +403,7 @@ func TestBinomial(t *testing.T) {
 // matrix, for any partition of [0, NumOrders).
 func TestSweepRangeMergeBitIdentical(t *testing.T) {
 	benches := shardTestBenches(5)
-	want := NewSweep(benches)
+	want := mustSweep(t, benches)
 	cuts := []int{0, 100, 101, 1234, 4000, NumOrders}
 	got := make([][]float64, 0, NumOrders)
 	for i := 1; i < len(cuts); i++ {
@@ -411,7 +430,7 @@ func TestSweepRangeMergeBitIdentical(t *testing.T) {
 // the single-process exact result.
 func TestSubsetsRangeMergeExact(t *testing.T) {
 	benches := shardTestBenches(8)
-	s := NewSweep(benches)
+	s := mustSweep(t, benches)
 	const k = 4
 	want, err := s.SubsetsCtx(context.Background(), k)
 	if err != nil {
@@ -450,7 +469,7 @@ func TestSubsetsRangeMergeExact(t *testing.T) {
 // space), and with this fixed seed the top-ranked orders agree.
 func TestSubsetsSampledAgreesWithExact(t *testing.T) {
 	benches := shardTestBenches(8)
-	s := NewSweep(benches)
+	s := mustSweep(t, benches)
 	const k = 4
 	exact, err := s.SubsetsCtx(context.Background(), k)
 	if err != nil {
@@ -476,7 +495,7 @@ func TestSubsetsSampledAgreesWithExact(t *testing.T) {
 
 func TestSubsetsSampledCrossSeedDeterminism(t *testing.T) {
 	benches := shardTestBenches(6)
-	s := NewSweep(benches)
+	s := mustSweep(t, benches)
 	for _, seed := range []int64{1, 42, 1993} {
 		a, err := s.SubsetsSampledCtx(context.Background(), 3, 200, seed)
 		if err != nil {
@@ -502,7 +521,7 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := NewSweepCtx(ctx, benches); err == nil {
 		t.Error("NewSweepCtx ignored cancelled context")
 	}
-	s := NewSweep(benches)
+	s := mustSweep(t, benches)
 	if _, err := s.SubsetsCtx(ctx, 3); err == nil {
 		t.Error("SubsetsCtx ignored cancelled context")
 	}
@@ -520,7 +539,7 @@ func TestContextCancellation(t *testing.T) {
 
 func TestSubsetsProgress(t *testing.T) {
 	benches := shardTestBenches(6)
-	s := NewSweep(benches)
+	s := mustSweep(t, benches)
 	var mu sync.Mutex
 	var last, total int64
 	res, err := s.SubsetsOpts(context.Background(), 3, SubsetOpts{
