@@ -216,9 +216,16 @@ func TestGatewayPassiveEjection(t *testing.T) {
 	a.predict.Store(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
+	// The failing replica must be picked EjectAfter times, so every
+	// routing draw is fixed: RoutingSeed 1 sends the first two
+	// primaries to it (an unset seed is time-derived), and hedging,
+	// which is not under test, is kept out of the way because each
+	// hedge would draw from the routing LCG at a timing-dependent point.
 	g, ts := newTestGateway(t, Config{
 		MaxAttempts: 2, RetryRatio: 1, RetryBurst: 100,
 		EjectAfter: 2, EjectBase: time.Minute, EjectMax: time.Minute,
+		HedgeInitial: time.Minute, HedgeMin: time.Minute,
+		RoutingSeed: 1,
 	}, a, b)
 
 	for i := 0; i < 10; i++ {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 )
@@ -29,6 +31,48 @@ func TestLatencyTrackerDelay(t *testing.T) {
 	}
 	if got := lt2.delay(); got != 5*time.Millisecond {
 		t.Fatalf("clamped delay = %v, want the 5ms floor", got)
+	}
+}
+
+// TestLatencyTrackerMatchesSortedWindow: the incrementally sorted
+// window answers exactly what sorting a copy of the last
+// latencySamples observations would, through many wrap-arounds and
+// with duplicate samples, and delay never allocates.
+func TestLatencyTrackerMatchesSortedWindow(t *testing.T) {
+	const q, initial, floor = 0.9, 50 * time.Millisecond, 20 * time.Millisecond
+	lt := newLatencyTracker(q, initial, floor)
+	r := rand.New(rand.NewSource(1))
+	var window []time.Duration
+	for n := 0; n < 5000; n++ {
+		// Whole milliseconds give plenty of duplicates; the range
+		// shifts every 1000 observations, so the quantile moves from
+		// above the floor to below it and back.
+		hi := 40
+		if n/1000%2 == 1 {
+			hi = 15
+		}
+		d := time.Duration(1+r.Intn(hi)) * time.Millisecond
+		lt.observe(d)
+		window = append(window, d)
+		if len(window) > latencySamples {
+			window = window[1:]
+		}
+		want := initial
+		if len(window) >= latencyMinData {
+			sorted := append([]time.Duration(nil), window...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			idx := int(float64(len(sorted)) * q)
+			if idx >= len(sorted) {
+				idx = len(sorted) - 1
+			}
+			want = max(sorted[idx], floor)
+		}
+		if got := lt.delay(); got != want {
+			t.Fatalf("after %d observations: delay = %v, want %v", n+1, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lt.delay() }); allocs != 0 {
+		t.Fatalf("delay allocates %v times per call, want 0", allocs)
 	}
 }
 

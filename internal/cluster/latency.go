@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -24,7 +24,8 @@ type latencyTracker struct {
 	min      time.Duration
 
 	mu      sync.Mutex
-	samples [latencySamples]time.Duration
+	samples [latencySamples]time.Duration // ring, in arrival order
+	sorted  [latencySamples]time.Duration // the same count samples, ascending
 	next    int
 	count   int
 }
@@ -33,36 +34,40 @@ func newLatencyTracker(quantile float64, initial, min time.Duration) *latencyTra
 	return &latencyTracker{quantile: quantile, initial: initial, min: min}
 }
 
-// observe records one successful attempt's latency.
+// observe records one successful attempt's latency, keeping the
+// sorted copy of the window in step with the ring: the evicted sample
+// is binary-searched out and the new one inserted in place.
 func (t *latencyTracker) observe(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.samples[t.next] = d
-	t.next = (t.next + 1) % latencySamples
-	if t.count < latencySamples {
+	sorted := t.sorted[:t.count]
+	if t.count == latencySamples {
+		i, _ := slices.BinarySearch(sorted, t.samples[t.next])
+		sorted = slices.Delete(sorted, i, i+1)
+	} else {
 		t.count++
 	}
+	i, _ := slices.BinarySearch(sorted, d)
+	sorted = sorted[:len(sorted)+1]
+	copy(sorted[i+1:], sorted[i:])
+	sorted[i] = d
+	t.samples[t.next] = d
+	t.next = (t.next + 1) % latencySamples
 }
 
 // delay returns how long to wait before firing a hedge: the tracked
-// quantile of recent latencies, clamped from below by min, or the
-// configured initial delay while data is thin.
+// quantile of the last latencySamples successful latencies, clamped
+// from below by min, or the configured initial delay while data is
+// thin. It indexes the sorted window and never allocates.
 func (t *latencyTracker) delay() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.count < latencyMinData {
 		return t.initial
 	}
-	sorted := make([]time.Duration, t.count)
-	copy(sorted, t.samples[:t.count])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(float64(t.count) * t.quantile)
 	if idx >= t.count {
 		idx = t.count - 1
 	}
-	d := sorted[idx]
-	if d < t.min {
-		d = t.min
-	}
-	return d
+	return max(t.sorted[idx], t.min)
 }

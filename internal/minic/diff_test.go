@@ -299,33 +299,49 @@ func refRun(nvars int, init []int64, body []dStmt) int64 {
 	return mix
 }
 
-func TestDifferentialRandomPrograms(t *testing.T) {
-	const trials = 300
+// checkDifferential generates the program for seed, runs it on the
+// reference evaluator and, with and without SpillLocals, through the
+// compiler and interpreter, and fails unless all outputs agree.
+func checkDifferential(t testing.TB, seed int64) {
 	const nvars = 8
-	for seed := int64(0); seed < trials; seed++ {
-		g := &dGen{r: rand.New(rand.NewSource(seed)), nvars: nvars}
-		init := make([]int64, nvars)
-		for i := range init {
-			init[i] = g.r.Int63n(2001) - 1000
-		}
-		body := g.stmts(3, 2+g.r.Intn(5), 0)
-		src := renderProgram(nvars, init, body)
-		want := refRun(nvars, init, body)
+	g := &dGen{r: rand.New(rand.NewSource(seed)), nvars: nvars}
+	init := make([]int64, nvars)
+	for i := range init {
+		init[i] = g.r.Int63n(2001) - 1000
+	}
+	body := g.stmts(3, 2+g.r.Intn(5), 0)
+	src := renderProgram(nvars, init, body)
+	want := refRun(nvars, init, body)
 
-		for _, opts := range []Options{{}, {SpillLocals: true}} {
-			prog, err := Compile(src, opts)
-			if err != nil {
-				t.Fatalf("seed %d opts %+v: compile: %v\n%s", seed, opts, err, src)
-			}
-			res, err := interp.Run(prog, interp.Config{Budget: 1 << 22})
-			if err != nil {
-				t.Fatalf("seed %d opts %+v: run: %v\n%s", seed, opts, err, src)
-			}
-			got := res.Output
-			wantStr := fmt.Sprintf("%d", want)
-			if got != wantStr {
-				t.Fatalf("seed %d opts %+v: got %s, want %s\nprogram:\n%s", seed, opts, got, wantStr, src)
-			}
+	for _, opts := range []Options{{}, {SpillLocals: true}} {
+		prog, err := Compile(src, opts)
+		if err != nil {
+			t.Fatalf("seed %d opts %+v: compile: %v\n%s", seed, opts, err, src)
+		}
+		res, err := interp.Run(prog, interp.Config{Budget: 1 << 22})
+		if err != nil {
+			t.Fatalf("seed %d opts %+v: run: %v\n%s", seed, opts, err, src)
+		}
+		got := res.Output
+		wantStr := fmt.Sprintf("%d", want)
+		if got != wantStr {
+			t.Fatalf("seed %d opts %+v: got %s, want %s\nprogram:\n%s", seed, opts, got, wantStr, src)
 		}
 	}
+}
+
+func TestDifferentialRandomPrograms(t *testing.T) {
+	const trials = 300
+	for seed := int64(0); seed < trials; seed++ {
+		checkDifferential(t, seed)
+	}
+}
+
+// FuzzCompileRun explores generator seeds beyond the 300 the
+// differential test walks: `go test -fuzz=FuzzCompileRun ./internal/minic`.
+func FuzzCompileRun(f *testing.F) {
+	for _, seed := range []int64{0, 1, 299, -1, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { checkDifferential(t, seed) })
 }

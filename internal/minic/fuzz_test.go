@@ -7,7 +7,7 @@ import (
 )
 
 // Fuzz targets: during normal `go test` runs these exercise the seed
-// corpus; `go test -fuzz=FuzzCompile ./internal/minic` explores further.
+// corpus; `go test -fuzz='^FuzzCompile$' ./internal/minic` explores further.
 // The invariant under test is "no panics, and whatever compiles runs
 // within budget without violating MIR validity".
 

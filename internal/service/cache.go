@@ -4,9 +4,11 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"sync"
 
 	"ballarus/internal/interp"
@@ -133,26 +135,64 @@ func (c *flightCache[V]) stats() cacheSnapshot {
 	return cacheSnapshot{entries: len(c.m), evictions: c.evictions, capacity: c.max}
 }
 
-// hasher builds content-hash cache keys.
+// hasher builds content-hash cache keys. It streams a byte stream
+// through a small fixed buffer into one SHA-256 digest: each string is
+// its little-endian uint64 length then its bytes, each integer 8
+// little-endian bytes, each bool one byte, and each slice its length
+// then its elements. That byte stream is the durable key format — the
+// warm set and every durable snapshot store their entries under these
+// keys — so it must not change; TestRequestKeysStable pins it.
 type hasher struct {
-	h [sha256.Size]byte
-	b []byte
+	d   hash.Hash
+	n   int // bytes pending in buf
+	buf [512]byte
 }
 
-func newHasher() *hasher { return &hasher{} }
+func newHasher() *hasher { return &hasher{d: sha256.New()} }
+
+// resumeHasher continues from a digest state saved by (*hasher).state.
+func resumeHasher(state []byte) *hasher {
+	h := newHasher()
+	if err := h.d.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("service: bad saved digest state: " + err.Error())
+	}
+	return h
+}
+
+// state returns the digest state after everything written so far.
+func (h *hasher) state() []byte {
+	h.flush()
+	b, err := h.d.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("service: saving digest state: " + err.Error())
+	}
+	return b
+}
+
+func (h *hasher) flush() {
+	h.d.Write(h.buf[:h.n])
+	h.n = 0
+}
 
 func (h *hasher) str(s string) *hasher {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.b = append(h.b, n[:]...)
-	h.b = append(h.b, s...)
+	h.i64(int64(len(s)))
+	for len(s) > 0 {
+		if h.n == len(h.buf) {
+			h.flush()
+		}
+		c := copy(h.buf[h.n:], s)
+		h.n += c
+		s = s[c:]
+	}
 	return h
 }
 
 func (h *hasher) i64(v int64) *hasher {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	h.b = append(h.b, n[:]...)
+	if h.n+8 > len(h.buf) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], uint64(v))
+	h.n += 8
 	return h
 }
 
@@ -165,15 +205,18 @@ func (h *hasher) i64s(vs []int64) *hasher {
 }
 
 func (h *hasher) bool(v bool) *hasher {
-	if v {
-		h.b = append(h.b, 1)
-	} else {
-		h.b = append(h.b, 0)
+	if h.n == len(h.buf) {
+		h.flush()
 	}
+	h.buf[h.n] = 0
+	if v {
+		h.buf[h.n] = 1
+	}
+	h.n++
 	return h
 }
 
 func (h *hasher) sum() string {
-	h.h = sha256.Sum256(h.b)
-	return hex.EncodeToString(h.h[:])
+	h.flush()
+	return hex.EncodeToString(h.d.Sum(h.buf[:0]))
 }

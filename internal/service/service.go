@@ -271,8 +271,10 @@ func (s *Service) restartWorkers() {
 	s.sem = make(chan struct{}, s.cfg.workers)
 	s.semSwapped = make(chan struct{})
 	s.semMu.Unlock()
-	close(old)
+	// Count the restart before close wakes the queued requests, so no
+	// request the new pool serves can finish before the count shows it.
 	s.met.poolRestarts.Add(1)
+	close(old)
 }
 
 // wedgeProbe feeds the watchdog: the pool is wedge-able when every
@@ -308,6 +310,10 @@ type Request struct {
 	Budget int64
 	// Seed is the interpreter's rand() seed.
 	Seed int64
+
+	// suiteInput is set by resolve when Input was defaulted from the
+	// benchmark's dataset, so keys may reuse that dataset's digest.
+	suiteInput bool
 }
 
 // Result is the outcome of one prediction job. Results may be shared
@@ -397,6 +403,7 @@ func (s *Service) resolve(req *Request) error {
 		req.Source = b.Source
 		if req.Input == nil {
 			req.Input = b.Data[req.Dataset].Input
+			req.suiteInput = true
 		}
 		if req.Budget == 0 {
 			req.Budget = b.Budget
@@ -421,7 +428,44 @@ func (req *Request) keys() (progKey, analysisKey, runKey string) {
 		sum()
 	return progKey,
 		newHasher().str(progKey).str("analysis").sum(),
-		newHasher().str(progKey).str("run").i64s(req.Input).i64(req.Budget).i64(req.Seed).sum()
+		req.runHasher(progKey).i64(req.Budget).i64(req.Seed).sum()
+}
+
+// inputDigestKey names one suite dataset under one compiled program.
+type inputDigestKey struct {
+	benchmark string
+	dataset   int
+	progKey   string
+}
+
+// inputDigests holds, per suite dataset and program, the digest state
+// after a run key's prefix and input: suite inputs never change, so
+// each is hashed once per process. One entry per dataset per compile
+// option combination bounds it, so it never evicts.
+var inputDigests = struct {
+	sync.RWMutex
+	m map[inputDigestKey][]byte
+}{m: map[inputDigestKey][]byte{}}
+
+// runHasher returns a hasher that has absorbed the run key's program
+// key and input. A defaulted suite input resumes from its saved digest;
+// any other input is streamed, yielding the identical state.
+func (req *Request) runHasher(progKey string) *hasher {
+	if !req.suiteInput {
+		return newHasher().str(progKey).str("run").i64s(req.Input)
+	}
+	k := inputDigestKey{req.Benchmark, req.Dataset, progKey}
+	inputDigests.RLock()
+	state, ok := inputDigests.m[k]
+	inputDigests.RUnlock()
+	if ok {
+		return resumeHasher(state)
+	}
+	h := newHasher().str(progKey).str("run").i64s(req.Input)
+	inputDigests.Lock()
+	inputDigests.m[k] = h.state()
+	inputDigests.Unlock()
+	return h
 }
 
 // Predict runs the pipeline for one request, deduplicating and caching
